@@ -7,6 +7,8 @@
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -61,6 +63,25 @@ GateDag replicate_gate_dag(const GateDag& circuit, int copies) {
 }
 
 namespace {
+
+/// The topological contract: every dep (and pin) of gate i indexes an
+/// earlier gate. Checked once per public call, so malformed input throws
+/// instead of indexing past the per-gate arrays.
+void require_topological(const GateDag& dag, const char* who) {
+  for (size_t i = 0; i < dag.gates.size(); ++i) {
+    const GateDagNode& g = dag.gates[i];
+    for (const int d : g.deps) {
+      if (d < 0 || d >= static_cast<int>(i)) {
+        throw std::invalid_argument(std::string(who) +
+                                    ": deps must index earlier gates");
+      }
+    }
+    if (g.pin >= static_cast<int>(i)) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": pin must index an earlier gate");
+    }
+  }
+}
 
 int64_t count_cut(const GateDag& dag, const std::vector<int>& chip_of) {
   int64_t cut = 0;
@@ -191,6 +212,7 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
   if (num_chips <= 0) {
     throw std::invalid_argument("partition_gate_dag: num_chips must be positive");
   }
+  require_topological(dag, "partition_gate_dag");
   if (!opt.chip_capacity.empty() &&
       static_cast<int>(opt.chip_capacity.size()) != num_chips) {
     throw std::invalid_argument(
@@ -361,12 +383,28 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
     int evals = 0;
     GateDagPartition probe;
     probe.num_chips = num_chips;
+    // The descent revisits candidates (the local refine re-tries the strided
+    // scan's best, every sweep re-tries the last one's positions), so
+    // makespans are memoised for this call, keyed one byte per gate. A hit
+    // still counts as an evaluation: the search path and budget are the same
+    // as without the memo.
+    const bool memoise = effective <= 256;
+    std::unordered_map<std::string, int64_t> memo;
+    std::string key(static_cast<size_t>(n), '\0');
     const auto true_makespan = [&](const std::vector<int>& candidate) {
       ++evals;
+      if (memoise) {
+        std::transform(candidate.begin(), candidate.end(), key.begin(),
+                       [](int c) { return static_cast<char>(c); });
+        const auto hit = memo.find(key);
+        if (hit != memo.end()) return hit->second;
+      }
       probe.chip_of = candidate;
-      return schedule_gate_dag_multichip(dag, probe, chip_specs,
-                                         opt.transfer_cycles)
-          .makespan;
+      const int64_t t = schedule_gate_dag_multichip(dag, probe, chip_specs,
+                                                    opt.transfer_cycles)
+                            .makespan;
+      if (memoise) memo.emplace(key, t);
+      return t;
     };
 
     // Prefix-weight array: W[i] = total bootstraps of gates [0, i).
@@ -666,6 +704,7 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
     throw std::invalid_argument(
         "schedule_gate_dag_multichip: transfer_cycles must be nonnegative");
   }
+  require_topological(dag, "schedule_gate_dag_multichip");
   const int num_chips = part.num_chips;
   MultiChipScheduleResult r;
   r.num_gates = static_cast<int>(dag.gates.size());
@@ -719,7 +758,6 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
   for (size_t i = 0; i < dag.gates.size(); ++i) {
     pending[i] = static_cast<int>(dag.gates[i].deps.size());
     for (const int d : dag.gates[i].deps) {
-      assert(d >= 0 && d < static_cast<int>(i) && "DAG must be topological");
       users[d].push_back(static_cast<int>(i));
     }
     if (pending[i] == 0) queue.push({0, static_cast<int>(i)});
@@ -756,12 +794,12 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
     return ready;
   };
 
+  // Deps index earlier gates only, so the DAG is acyclic and every gate
+  // drains through the queue.
   std::vector<int64_t> node_end(max_nodes, 0);
-  int scheduled = 0;
   while (!queue.empty()) {
     const auto [ready, gi] = queue.top();
     queue.pop();
-    ++scheduled;
     const GateDagNode& gate = dag.gates[gi];
     const int chip_id = part.chip_of[static_cast<size_t>(gi)];
     Chip& chip = chips[static_cast<size_t>(chip_id)];
@@ -822,11 +860,6 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
       if (--pending[u] == 0) queue.push({arrival(u), u});
     }
   }
-  if (scheduled != r.num_gates) {
-    throw std::invalid_argument(
-        "schedule_gate_dag_multichip: dependency cycle in DAG");
-  }
-
   r.transfer_busy_cycles = link.busy();
   if (r.makespan > 0) {
     for (int c = 0; c < num_chips; ++c) {

@@ -132,7 +132,8 @@ struct PartitionOptions {
 /// construction (weight-balanced topological prefix blocks, and -- round 2 --
 /// critical-depth bands); refinement moves single gates between chips
 /// without ever violating edge monotonicity or the per-chip load cap.
-/// Deterministic for a given DAG and options.
+/// Deterministic for a given DAG and options. Throws std::invalid_argument
+/// when a dep or pin does not index an earlier gate.
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
                                     const PartitionOptions& opt);
 
@@ -177,6 +178,8 @@ struct MultiChipScheduleResult {
 /// per distinct (value, destination chip), reused by every consumer there; a
 /// multi-output LUT bundle is one value, so all its extractions cross in one
 /// send. With num_chips == 1 this reduces exactly to schedule_gate_dag.
+/// Throws std::invalid_argument on a partition or chip list that does not
+/// match, or a dep or pin that does not index an earlier gate.
 MultiChipScheduleResult schedule_gate_dag_multichip(const Dfg& gate_dfg,
                                                     const GateDag& dag,
                                                     const GateDagPartition& part,

@@ -1,11 +1,39 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/chip_sim.h"
 
 namespace matcha::sim {
 namespace {
 
 const TfheParams kParams = TfheParams::security110();
+
+GateDag dag_of(const Netlist& n) {
+  GateDag dag;
+  dag.gates.resize(n.deps.size());
+  for (size_t i = 0; i < n.deps.size(); ++i) dag.gates[i].deps = n.deps[i];
+  return dag;
+}
+
+/// Exact partition and schedule results, captured before the simulator's
+/// timeline and probe speed-ups, so that any later speed-up must reproduce
+/// every simulated number, not just the inequalities the tests also check.
+struct Golden {
+  double time_ms, time_greedy_ms;
+  int64_t transfers, cut_wires;
+  std::vector<int64_t> chip_bootstraps;
+};
+
+void expect_golden(const MultiChipSimResult& r, const Golden& g) {
+  EXPECT_DOUBLE_EQ(r.time_ms, g.time_ms);
+  EXPECT_DOUBLE_EQ(r.time_greedy_ms, g.time_greedy_ms);
+  EXPECT_EQ(r.transfers, g.transfers);
+  EXPECT_EQ(r.cut_wires, g.cut_wires);
+  EXPECT_EQ(r.chip_bootstraps, g.chip_bootstraps);
+  EXPECT_EQ(r.partition_source, "latency-aware");
+}
 
 TEST(Netlist, RippleAdderShape) {
   const Netlist n = ripple_adder_netlist(4);
@@ -97,9 +125,7 @@ TEST(ChipSim, MultiChipShardingBeatsOneChipWhenHbmBound) {
   // pipeline banks) must strictly beat it even though the shards now pay for
   // cross-chip wire transfers.
   const Netlist n = array_multiplier_netlist(8);
-  GateDag dag;
-  dag.gates.resize(n.deps.size());
-  for (size_t i = 0; i < n.deps.size(); ++i) dag.gates[i].deps = n.deps[i];
+  const GateDag dag = dag_of(n);
   const auto r1 = simulate_circuit_multichip(kParams, 3, dag, 1);
   const auto r2 = simulate_circuit_multichip(kParams, 3, dag, 2);
   const auto r4 = simulate_circuit_multichip(kParams, 3, dag, 4);
@@ -127,6 +153,51 @@ TEST(ChipSim, MultiChipShardingBeatsOneChipWhenHbmBound) {
                 r->partition_source == "latency-aware")
         << r->partition_source;
   }
+  expect_golden(r2, {41.124995499999997, 42.018717499999994, 40, 120,
+                     {184, 160}});
+  expect_golden(r4, {25.362333, 30.6937365, 74, 220, {47, 110, 101, 86}});
+}
+
+TEST(ChipSim, MultiChipSchedulesMatchGoldenValues) {
+  // The cases MultiChipShardingBeatsOneChipWhenHbmBound does not pin.
+  struct Case {
+    const char* circuit;
+    int m, chips;
+    Golden golden;
+  };
+  const Case cases[] = {
+      {"mul8", 1, 2, {23.850724499999998, 24.2018065, 41, 116, {196, 148}}},
+      {"mul8", 1, 4,
+       {18.777062000000001, 22.742448500000002, 75, 222, {60, 107, 92, 85}}},
+      {"add8", 1, 2, {9.3081324999999993, 9.3942654999999995, 3, 3, {6, 34}}},
+      {"add8", 1, 4,
+       {9.3013155000000012, 9.3638344999999994, 5, 5, {2, 5, 5, 28}}},
+      {"add8", 3, 2, {5.0853994999999994, 5.7941834999999999, 2, 2, {12, 28}}},
+      {"add8", 3, 4,
+       {4.0300444999999998, 5.0854784999999998, 8, 8, {5, 4, 9, 22}}},
+  };
+  const GateDag mul8 = dag_of(array_multiplier_netlist(8));
+  const GateDag add8 = dag_of(ripple_adder_netlist(8));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.circuit) + " m=" + std::to_string(c.m) +
+                 " chips=" + std::to_string(c.chips));
+    const GateDag& dag = std::string(c.circuit) == "mul8" ? mul8 : add8;
+    expect_golden(simulate_circuit_multichip(kParams, c.m, dag, c.chips),
+                  c.golden);
+  }
+
+  // A hybrid batch plan: two replica groups of two chips, whose replicated
+  // batch DAG backfills mid-timeline.
+  const auto p = simulate_batch_policy(kParams, 3, add8, 2, 4);
+  EXPECT_EQ(p.policy_label, "hybrid");
+  EXPECT_EQ(p.replica_groups, 2);
+  EXPECT_DOUBLE_EQ(p.time_ms, 5.085439);
+  EXPECT_EQ(p.transfers, 4);
+  EXPECT_EQ(p.cut_wires, 4);
+  ASSERT_EQ(p.considered.size(), 3u);
+  EXPECT_DOUBLE_EQ(p.considered[0].time_ms, 7.2117120000000003); // replicate
+  EXPECT_DOUBLE_EQ(p.considered[1].time_ms, 5.085439);           // hybrid
+  EXPECT_DOUBLE_EQ(p.considered[2].time_ms, 5.7942230000000006); // shard
 }
 
 TEST(ChipSim, BatchPolicyReplicatesWhenBatchCoversChips) {
@@ -134,9 +205,7 @@ TEST(ChipSim, BatchPolicyReplicatesWhenBatchCoversChips) {
   // per chip, zero link traffic), and -- with identical chips -- the whole
   // batch finishes in exactly one circuit's single-chip makespan.
   const Netlist n = ripple_adder_netlist(8);
-  GateDag dag;
-  dag.gates.resize(n.deps.size());
-  for (size_t i = 0; i < n.deps.size(); ++i) dag.gates[i].deps = n.deps[i];
+  const GateDag dag = dag_of(n);
 
   const auto r4 = simulate_batch_policy(kParams, 3, dag, 4, 4);
   EXPECT_EQ(r4.policy, BatchPolicy::kReplicate);
@@ -165,9 +234,7 @@ TEST(ChipSim, BatchPolicyShardsSingletons) {
   // sharding shortens it, so the policy must not fall back to replication
   // (which would idle every chip but one).
   const Netlist n = array_multiplier_netlist(6);
-  GateDag dag;
-  dag.gates.resize(n.deps.size());
-  for (size_t i = 0; i < n.deps.size(); ++i) dag.gates[i].deps = n.deps[i];
+  const GateDag dag = dag_of(n);
 
   const auto r = simulate_batch_policy(kParams, 3, dag, 1, 2);
   EXPECT_EQ(r.policy, BatchPolicy::kShard);
@@ -178,7 +245,9 @@ TEST(ChipSim, BatchPolicyShardsSingletons) {
   // and lost.
   ASSERT_EQ(r.considered.size(), 2u);
   for (const auto& v : r.considered) {
-    if (v.policy_label == "replicate") EXPECT_GT(v.time_ms, r.time_ms);
+    if (v.policy_label == "replicate") {
+      EXPECT_GT(v.time_ms, r.time_ms);
+    }
   }
 }
 
@@ -187,9 +256,7 @@ TEST(ChipSim, HeterogeneousChipsWeightLoadByThroughput) {
   // capacity-weighted partitioning must respect the per-chip caps it set,
   // and the A/B guarantee against the capacity-blind greedy baseline holds.
   const Netlist n = array_multiplier_netlist(6);
-  GateDag dag;
-  dag.gates.resize(n.deps.size());
-  for (size_t i = 0; i < n.deps.size(); ++i) dag.gates[i].deps = n.deps[i];
+  const GateDag dag = dag_of(n);
 
   const std::vector<ChipSpec> chips{{8, 3}, {2, 1}};
   const auto r = simulate_circuit_multichip(kParams, dag, chips);

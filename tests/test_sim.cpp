@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
+#include "sim/cycle_sim.h"
 #include "sim/gate_dag.h"
 #include "sim/matcha_sim.h"
 
@@ -191,6 +197,123 @@ TEST(Sim, MoreEpMacSlicesShortenM1Latency) {
   EXPECT_LT(fast.latency_ms, base.latency_ms * 0.75);
 }
 
+/// The reference earliest-fit backfill: walks the sorted, coalesced span list
+/// one span at a time. BackfillTimeline must return the same completion for
+/// every claim sequence; `spans` is public so the generator can aim claims at
+/// exact gaps.
+struct LinearBackfill {
+  std::vector<std::pair<int64_t, int64_t>> spans;
+  int64_t busy = 0;
+
+  int64_t claim(int64_t ready, int64_t cycles) {
+    busy += cycles;
+    if (cycles == 0) return ready;
+    size_t i = 0;
+    while (i < spans.size() && spans[i].first <= ready) ++i;
+    if (i > 0 && spans[i - 1].second > ready) --i;
+    int64_t start = ready;
+    while (i < spans.size() && spans[i].first < start + cycles) {
+      if (spans[i].second > start) start = spans[i].second;
+      ++i;
+    }
+    const bool join_prev = i > 0 && spans[i - 1].second == start;
+    const bool join_next = i < spans.size() && spans[i].first == start + cycles;
+    if (join_prev && join_next) {
+      spans[i - 1].second = spans[i].second;
+      spans.erase(spans.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (join_prev) {
+      spans[i - 1].second = start + cycles;
+    } else if (join_next) {
+      spans[i].first = start;
+    } else {
+      spans.insert(spans.begin() + static_cast<std::ptrdiff_t>(i),
+                   {start, start + cycles});
+    }
+    return start + cycles;
+  }
+};
+
+TEST(BackfillTimeline, MatchesLinearWalkOracle) {
+  // Random claim sequences over timelines hundreds of spans (many index
+  // blocks) long, mixing tail appends with claims aimed at the interior:
+  // exact gap fills (coalesce both sides), left- and right-flush fills,
+  // claims starting inside a span, claims ahead of the first span, 0-cycle
+  // claims, and random backfills that skip many too-small gaps.
+  {
+    // Directed: a split moves the one wide gap across an index-block edge,
+    // and the next claim fits nowhere else.
+    BackfillTimeline fast;
+    LinearBackfill ref;
+    const auto claim = [&](int64_t ready, int64_t cycles) {
+      EXPECT_EQ(fast.claim(ready, cycles), ref.claim(ready, cycles))
+          << "ready " << ready << " cycles " << cycles;
+    };
+    int64_t tail = 0;
+    for (int k = 0; k < 52; ++k) { // gap 0 = 10, gap 31 = 100, others 1
+      const int64_t gap = k == 0 ? 0 : k == 1 ? 10 : k == 32 ? 100 : 1;
+      claim(tail + gap, 5);
+      tail += gap + 5;
+    }
+    claim(7, 2);   // splits gap 0: the wide gap becomes gap 32
+    claim(0, 100); // fits only in it
+  }
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    BackfillTimeline fast;
+    LinearBackfill ref;
+    const auto below = [&](int64_t bound) {
+      return static_cast<int64_t>(rng.uniform_below(
+          static_cast<uint32_t>(std::max<int64_t>(1, bound))));
+    };
+    int joins_both = 0, deep = 0;
+    for (int step = 0; step < 6000; ++step) {
+      const auto& sp = ref.spans;
+      const int64_t tail = sp.empty() ? 0 : sp.back().second;
+      int64_t ready = 0, cycles = 0;
+      const int kind = static_cast<int>(rng.uniform_below(10));
+      if (sp.size() < 2 || kind < 3) { // grow at the tail, leaving a gap
+        ready = tail + below(60);
+        cycles = 1 + below(40);
+      } else if (kind == 3) { // 0-cycle claim anywhere
+        ready = below(tail + 10);
+      } else if (kind == 4) { // random backfill, often deep inside
+        ready = below(tail);
+        cycles = 1 + below(80);
+        deep += ready < sp[sp.size() / 2].first;
+      } else if (kind == 9) { // ahead of the first span
+        ready = below(sp.front().first + 1);
+        cycles = 1 + below(sp.front().first - ready + 2);
+      } else { // aim at gap k between spans k and k+1
+        const size_t k = static_cast<size_t>(
+            below(static_cast<int64_t>(sp.size()) - 1));
+        const int64_t lo = sp[k].second, len = sp[k + 1].first - lo;
+        if (kind == 5) { // exact fill: coalesces both sides
+          ready = lo;
+          cycles = len;
+          ++joins_both;
+        } else if (kind == 6) { // flush left: joins span k
+          ready = lo;
+          cycles = std::max<int64_t>(1, len - 1 - below(len));
+        } else if (kind == 7) { // flush right: joins span k + 1
+          cycles = 1 + below(len);
+          ready = lo + len - cycles;
+        } else { // start inside span k
+          ready = sp[k].first + below(sp[k].second - sp[k].first);
+          cycles = 1 + below(len + 2);
+        }
+      }
+      const int64_t want = ref.claim(ready, cycles);
+      ASSERT_EQ(fast.claim(ready, cycles), want)
+          << "seed " << seed << " step " << step << " ready " << ready
+          << " cycles " << cycles;
+      ASSERT_EQ(fast.busy(), ref.busy);
+    }
+    EXPECT_GT(ref.spans.size(), 200u) << "timeline should span many blocks";
+    EXPECT_GT(joins_both, 100);
+    EXPECT_GT(deep, 100);
+  }
+}
+
 TEST(BatchSchedule, SingleGateMatchesScalarScheduler) {
   SimParams p;
   p.tfhe = kParams;
@@ -359,6 +482,44 @@ TEST(GateDagSchedule, MuxCostsTwoBootstraps) {
   dag.gates[0].bootstraps = 2;
   const auto r = schedule_gate_dag(dfg, dag, p.hw.pipelines);
   EXPECT_EQ(r.makespan, 2 * single);
+}
+
+TEST(GateDagSchedule, RejectsDepsOutsideTopologicalRange) {
+  // Deps and pins must index earlier gates; anything else is rejected up
+  // front in every build type instead of indexing past the per-gate arrays.
+  SimParams p;
+  p.tfhe = kParams;
+  p.unroll_m = 1;
+  const Dfg dfg = build_bootstrap_dfg(p);
+  PartitionOptions opt;
+  opt.dfg = &dfg;
+  opt.pipelines = p.hw.pipelines;
+  const auto bad_dep = [](int dep) {
+    GateDag dag;
+    dag.gates.resize(3);
+    dag.gates[1].deps = {dep};
+    return dag;
+  };
+  GateDag bad_pin = bad_dep(0);
+  bad_pin.gates[1].pin = 2;
+  // Negative, out of range, forward, self, and a forward pin.
+  for (const GateDag& dag :
+       {bad_dep(-1), bad_dep(7), bad_dep(2), bad_dep(1), bad_pin}) {
+    GateDagPartition two;
+    two.num_chips = 2;
+    two.chip_of = {0, 1, 1};
+    EXPECT_THROW(schedule_gate_dag(dfg, dag, p.hw.pipelines),
+                 std::invalid_argument);
+    EXPECT_THROW(schedule_gate_dag_multichip(dfg, dag, two, p.hw.pipelines, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(partition_gate_dag(dag, 2), std::invalid_argument);
+    EXPECT_THROW(partition_gate_dag(dag, 2, opt), std::invalid_argument);
+  }
+  // The same DAG with an in-range dep and pin is fine.
+  GateDag ok = bad_dep(0);
+  ok.gates[1].pin = 0;
+  EXPECT_NO_THROW(partition_gate_dag(ok, 2, opt));
+  EXPECT_GT(schedule_gate_dag(dfg, ok, p.hw.pipelines).makespan, 0);
 }
 
 TEST(Sim, ServiceTimesScaleWithRingSize) {
