@@ -204,20 +204,22 @@ void bootstrap_materialized_seq(const SimdFftEngine& eng,
   const int n_ring = eng.ring_n();
   TorusPolynomial testv(n_ring);
   for (auto& c : testv.coeffs) c = mu;
+  TLweSample acc(n_ring);
+  LweSample extracted;
   for (size_t s = 0; s < xs.size(); ++s) {
     const LweSample& x = xs[s];
     const int barb = mod_switch_to_2n(x.b, n_ring);
     multiply_by_xpower(ws.testv_rot, testv, 2 * n_ring - barb);
-    ws.acc.a.clear();
-    ws.acc.b = ws.testv_rot;
+    acc.a.clear();
+    acc.b = ws.testv_rot;
     for (int g = 0; g < bk.num_groups(); ++g) {
       group_subset_exponents(x.a.data() + g * bk.unroll_m, bk.members(g),
                              n_ring, ws.exponents);
       if (!build_bundle(eng, bk, g, ws.exponents, ws.bundle)) continue;
-      external_product(eng, bk.gadget, ws.bundle, ws.acc, ws.ep);
+      external_product(eng, bk.gadget, ws.bundle, acc, ws.ep);
     }
-    sample_extract_into(ws.acc, ws.extracted);
-    key_switch_into(ks, ws.extracted, outs[s]);
+    sample_extract_into(acc, extracted);
+    key_switch_into(ks, extracted, outs[s]);
   }
 }
 
@@ -365,16 +367,8 @@ int main() {
                                                     params.mu(), xs, outs, ws);
                        },
                        0.0});
-      modes.push_back({"seq", 1,
-                       [&] {
-                         for (int s = 0; s < kSamples; ++s) {
-                           bootstrap_into(teng, bk, cloud.ks, params.mu(),
-                                          xs[static_cast<size_t>(s)], ws,
-                                          outs[static_cast<size_t>(s)]);
-                         }
-                       },
-                       0.0});
-      // Group-major batches (each flush streams the BSK once per batch).
+      // Group-major batches (each flush streams the BSK once per batch);
+      // batch1 is the sequential path.
       std::vector<std::vector<const LweSample*>> in_ptrs;
       std::vector<std::vector<LweSample*>> out_ptrs;
       const std::vector<int> batches{1, 2, 4, 8, 16, 32};

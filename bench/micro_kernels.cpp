@@ -264,10 +264,18 @@ template <class Engine>
 double bootstrap_ns(Engine& eng, const SecretKeyset& sk, const CloudKeyset& ck) {
   const auto dk = load_device_keyset(eng, ck);
   BootstrapWorkspace<Engine> ws(eng, dk.bk.gadget);
+  KeySwitchWorkspace ks_ws;
   Rng rng(31);
   const LweSample x = sk.encrypt_bit(1, rng);
+  LweSample out;
+  const LweSample* in = &x;
+  LweSample* o = &out;
   return time_ns_per_op(
-      [&] { (void)bootstrap(eng, dk.bk, *dk.ks, sk.params.mu(), x, ws); }, 20);
+      [&] {
+        bootstrap_batch(eng, dk.bk, *dk.ks, sk.params.mu(), &in, &o, 1, ws,
+                        ks_ws);
+      },
+      20);
 }
 
 } // namespace

@@ -22,11 +22,12 @@
 
 namespace matcha {
 
-/// Per-sample blind-rotation progress, shared by the sequential and batched
-/// drivers (tfhe/bootstrap.h). `pristine` stays true until the first
-/// external product actually executes, i.e. while ACC is still exactly the
-/// trivial (0, testv * X^{-barb}); that is what licenses the first-group
-/// fast paths (zero a-digit spectra, cached test-vector spectra).
+/// Per-sample blind-rotation progress, shared by the batched bundle driver
+/// and the classic-CMux reference (tfhe/bootstrap.h). `pristine` stays true
+/// until the first external product actually executes, i.e. while ACC is
+/// still exactly the trivial (0, testv * X^{-barb}); that is what licenses
+/// the first-group fast paths (zero a-digit spectra, cached test-vector
+/// spectra).
 struct BlindRotateState {
   int32_t barb = 0;     ///< ModSwitch_{2N}(x.b) for this sample
   bool pristine = true; ///< no external product has touched ACC yet
@@ -104,9 +105,9 @@ bool build_bundle(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
 
 /// One bundle-mode blind-rotation group step: ACC <- BKB_g (x) ACC, skipping
 /// the step entirely when every subset exponent is zero (BKB would be the
-/// identity H). This is THE per-sample step -- the sequential and batched
-/// blind rotations both call it, which is what makes them bit-identical at
-/// any batch size and interleaving. Generic engines materialize the bundle
+/// identity H). This is THE per-sample step -- the batched blind rotation
+/// calls it once per (group, sample), which is what makes every batch size
+/// and interleaving bit-identical. Generic engines materialize the bundle
 /// (build_bundle + external_product, with the pristine zero-a skip); the
 /// SimdFftEngine overload below fuses the subset rotations into the
 /// external-product MAC and never materializes the bundle. `tc` may be null;

@@ -10,9 +10,9 @@
 //
 // Keyswitch batching: a task evaluates one gate for a *group* of batch items
 // (up to kKsGroupTarget when the batch is deep enough to keep every worker
-// fed). The gate lowering is split into bootstrap-without-keyswitch per item
-// followed by ONE key_switch_batch flush for the group, so the keyswitch key
-// -- the largest read-only operand -- streams from memory once per group
+// fed). The gate lowering is one rotate-and-extract flush for the group
+// (tfhe/bootstrap.h) followed by ONE key_switch_batch flush, so both keys
+// -- the largest read-only operands -- stream from memory once per group
 // instead of once per item (tfhe/keyswitch.h). Group size trades key-traffic
 // amortization against task-level parallelism, so it shrinks to
 // items / num_threads when the batch is narrow; correctness never depends on
@@ -69,7 +69,6 @@
 #include "fft/engine_counters.h"
 #include "tfhe/functional.h"
 #include "tfhe/gate_ops.h"
-#include "tfhe/gates.h"
 
 namespace matcha::exec {
 
@@ -143,9 +142,8 @@ class BatchExecutor {
   /// read-only across workers and must outlive the executor.
   BatchExecutor(const EngineFactory& make_engine,
                 const DeviceBootstrapKey<Engine>& bk, const KeySwitchKey& ks,
-                Torus32 mu, int num_threads,
-                BlindRotateMode mode = BlindRotateMode::kBundle)
-      : bk_(bk), ks_(ks), mu_(mu), mode_(mode), pool_(num_threads) {
+                Torus32 mu, int num_threads)
+      : bk_(bk), ks_(ks), mu_(mu), pool_(num_threads) {
     // Construct each worker's engine and workspace ON the thread that will
     // run it (ThreadPool slots are fixed per thread): first-touch places the
     // scratch arenas in that thread's local memory, which is what makes the
@@ -401,12 +399,11 @@ class BatchExecutor {
     BootstrapWorkspace<Engine> ws;
     int64_t busy_ns = 0; ///< time inside gate kernels during the last run
     // Bootstrap-batching scratch: the group's linear-combination inputs and
-    // the pointer tables one group-major blind-rotation flush consumes
-    // (combo/mux2 sized 2x for MUX's two branch bootstraps), plus the
+    // the pointer tables one group-major rotate-and-extract flush consumes
+    // (combo sized 2x for MUX's two branch bootstraps), plus the
     // pre-keyswitch N-LWE staging and the digit workspace of the batched
     // keyswitch flush. All grow-only, reused across tasks.
     std::vector<LweSample> combo;
-    std::vector<LweSample> mux2;
     std::vector<const LweSample*> bs_in;
     std::vector<LweSample*> bs_out;
     std::vector<LweSample> stage;
@@ -437,7 +434,7 @@ class BatchExecutor {
     return true;
   }
 
-  /// Injected-bit-flip site shared by both keyswitch tails. The model is a
+  /// Injected-bit-flip site of the keyswitch tail. The model is a
   /// physical upset the runtime's integrity check traps: the victim's fresh
   /// ciphertext is corrupted AND detected, so the value is invalidated and
   /// the item reports kDataLoss (retry recomputes it) -- never a wrong
@@ -512,13 +509,15 @@ class BatchExecutor {
   /// Evaluate gate `id` for the *live* batch items of [b0, b1) -- items
   /// whose operands are all valid; items a fault already sidelined are
   /// skipped (their failure was recorded when the operand's producer
-  /// faulted). For the live set: stage every item's pre-bootstrap linear
-  /// combination, run ONE group-major blind-rotation flush (the spectral
-  /// bootstrapping key streams from DRAM once per group of items instead of
-  /// once per item; MUX flushes its 2x branch bootstraps in the same pass),
-  /// then one batched keyswitch flush into the items' result slots. Per-item
-  /// math is unchanged, so the result is bit-identical to the sequential
-  /// lowering -- whatever subset of the group is live.
+  /// faulted). Every bootstrapping kind lowers in the same four steps:
+  /// (1) stage the kind's pre-bootstrap combos (two per item for MUX),
+  /// (2) ONE group-major rotate_extract_batch over them with K live outputs
+  /// (K = 1 except for multi-output LUTs) -- the spectral bootstrapping key
+  /// streams from DRAM once per group of items instead of once per item,
+  /// (3) MUX's bootstrap-free combine, (4) ONE batched keyswitch flush over
+  /// the (item, output) pairs into the items' result slots. Per-item math is
+  /// unchanged, so the result is bit-identical to a batch of one -- whatever
+  /// subset of the group is live.
   template <class FailFn>
   void eval_gate_group(Worker& w, const GateGraph& g, int id, int b0, int b1,
                        std::vector<BatchResult>& results,
@@ -541,7 +540,6 @@ class BatchExecutor {
     }
     const int count = static_cast<int>(w.live.size());
     if (count == 0) return;
-    const Engine& eng = *w.engine;
     if (n.kind == GateKind::kNot) {
       for (int k = 0; k < count; ++k) {
         auto& res = results[static_cast<size_t>(w.live[k])];
@@ -566,182 +564,131 @@ class BatchExecutor {
       }
       return;
     }
-    const size_t nflush = static_cast<size_t>(
-        n.kind == GateKind::kMux ? 2 * count : count);
     if (fault::should_fire(fault::kSiteArenaAllocFail)) {
       throw fault::FaultInjected(
           fault::kSiteArenaAllocFail,
           resource_exhausted_status(
               "worker staging arena allocation failed (injected)"));
     }
-    if (w.stage.size() < static_cast<size_t>(count)) {
-      w.stage.resize(static_cast<size_t>(count));
+
+    // (1) Stage the combos. MUX's two branch bootstraps ride one flush:
+    // slots [0, count) hold AND(sel, c1), slots [count, 2*count)
+    // AND(NOT sel, c0). A LUT stages one weighted combination per item,
+    // however many Boolean gates its cone replaced (tfhe/lut.h).
+    const int rotations = n.kind == GateKind::kMux ? 2 * count : count;
+    if (w.combo.size() < static_cast<size_t>(rotations)) {
+      w.combo.resize(static_cast<size_t>(rotations));
     }
-    if (w.combo.size() < nflush) w.combo.resize(nflush);
-    w.bs_in.resize(nflush);
-    w.bs_out.resize(nflush);
-    // The bootstrapping key is shared read-only; a corrupted row cannot be
-    // written into it. The modeled failure is a *detected* corruption of the
-    // streamed row (ECC/checksum trap in hardware terms): the whole flush is
-    // abandoned before rotation, the group's items retry.
-    const auto check_bsk_stream = [] {
-      if (fault::should_fire(fault::kSiteBskRowCorrupt)) {
-        throw fault::FaultInjected(
-            fault::kSiteBskRowCorrupt,
-            data_loss_status("bootstrap-key row failed its stream integrity "
-                             "check (injected corruption)"));
-      }
-    };
-    switch (n.kind) {
-      case GateKind::kMux: {
-        // Both branch bootstraps of every item ride one flush: slots
-        // [0, count) hold u1 = BS(-mu + sel + c1) into stage, slots
-        // [count, 2*count) hold u2 = BS(-mu - sel + c0) into mux2; the
-        // bootstrap-free combine stage[k] + mux2[k] + (0, mu) follows.
-        if (w.mux2.size() < static_cast<size_t>(count)) {
-          w.mux2.resize(static_cast<size_t>(count));
-        }
-        const LweSample neg =
-            LweSample::trivial(bk_.n_lwe, static_cast<Torus32>(-mu_));
-        for (int k = 0; k < count; ++k) {
-          const auto& v = results[static_cast<size_t>(w.live[k])].values;
-          const LweSample& sel = v[n.in[0]];
-          w.combo[static_cast<size_t>(k)] = neg + sel + v[n.in[1]];
-          LweSample nsel = sel;
-          nsel.negate();
-          w.combo[static_cast<size_t>(count + k)] = neg + nsel + v[n.in[2]];
-          w.bs_out[static_cast<size_t>(k)] = &w.stage[static_cast<size_t>(k)];
-          w.bs_out[static_cast<size_t>(count + k)] =
-              &w.mux2[static_cast<size_t>(k)];
-        }
-        for (size_t k = 0; k < nflush; ++k) w.bs_in[k] = &w.combo[k];
-        check_bsk_stream();
-        bootstrap_wo_keyswitch_batch(eng, bk_, mu_, w.bs_in.data(),
-                                     w.bs_out.data(), static_cast<int>(nflush),
-                                     w.ws, mode_);
-        for (int k = 0; k < count; ++k) {
-          w.stage[static_cast<size_t>(k)] += w.mux2[static_cast<size_t>(k)];
-          w.stage[static_cast<size_t>(k)].b += mu_;
-        }
-        break;
-      }
-      case GateKind::kLut: {
-        // One weighted linear combination + one functional bootstrap per
-        // item, however many Boolean gates the cone replaced (tfhe/lut.h).
-        // A multi-output spec extracts the same rotated accumulator at each
-        // live output's ring coefficient; the dead outputs (their kLutOut
-        // node was eliminated) cost nothing.
-        for (int k = 0; k < count; ++k) {
-          const auto& v = results[static_cast<size_t>(w.live[k])].values;
+    w.bs_in.resize(static_cast<size_t>(rotations));
+    for (int k = 0; k < count; ++k) {
+      const auto& v = results[static_cast<size_t>(w.live[k])].values;
+      LweSample& combo = w.combo[static_cast<size_t>(k)];
+      switch (n.kind) {
+        case GateKind::kMux:
+          mux_branch_inputs(v[n.in[0]], v[n.in[1]], v[n.in[2]], mu_,
+                            bk_.n_lwe, combo,
+                            w.combo[static_cast<size_t>(count + k)]);
+          break;
+        case GateKind::kLut: {
           std::array<const LweSample*, 4> ins{};
           for (int j = 0; j < n.fan_in(); ++j) {
             ins[static_cast<size_t>(j)] = &v[n.in[j]];
           }
-          w.combo[static_cast<size_t>(k)] = lut_cone_input(
+          combo = lut_cone_input(
               n.lut,
               std::span<const LweSample* const>(
                   ins.data(), static_cast<size_t>(n.fan_in())),
               bk_.n_lwe);
-          w.bs_in[static_cast<size_t>(k)] = &w.combo[static_cast<size_t>(k)];
-        }
-        const TorusPolynomial& tv = *node_testv_[static_cast<size_t>(id)];
-        if (n.lut.n_out == 1) {
-          for (int k = 0; k < count; ++k) {
-            w.bs_out[static_cast<size_t>(k)] =
-                &w.stage[static_cast<size_t>(k)];
-          }
-          check_bsk_stream();
-          functional_bootstrap_wo_keyswitch_batch(eng, bk_, tv, w.bs_in.data(),
-                                                  w.bs_out.data(), count, w.ws,
-                                                  mode_);
           break;
         }
-        // Live outputs: the primary (this wire) plus every kLutOut child the
-        // compiled graph kept. The extraction offset of output j is
-        // slot_shift * (ring N / slots): one test-vector band per slot.
-        const auto& out_wires = lut_out_wires_[static_cast<size_t>(id)];
-        const int band = w.engine->ring_n() / n.lut.slots();
-        std::array<int, kLutMaxOutputs> offsets{};
-        std::array<int, kLutMaxOutputs> wires{};
-        int n_live = 0;
-        for (int j = 0; j < n.lut.n_out; ++j) {
-          if (out_wires[static_cast<size_t>(j)] < 0) continue;
-          offsets[static_cast<size_t>(n_live)] =
-              n.lut.output(j).slot_shift * band;
-          wires[static_cast<size_t>(n_live)] =
-              out_wires[static_cast<size_t>(j)];
-          ++n_live;
-        }
-        const size_t nstage =
-            static_cast<size_t>(count) * static_cast<size_t>(n_live);
-        if (w.stage.size() < nstage) w.stage.resize(nstage);
-        w.bs_out.resize(nstage);
-        for (int j = 0; j < n_live; ++j) {
-          for (int k = 0; k < count; ++k) {
-            w.bs_out[static_cast<size_t>(j * count + k)] =
-                &w.stage[static_cast<size_t>(j * count + k)];
-          }
-        }
-        check_bsk_stream();
-        functional_bootstrap_multi_wo_keyswitch_batch(
-            eng, bk_, tv, w.bs_in.data(), w.bs_out.data(), offsets.data(),
-            n_live, count, w.ws, mode_);
-        w.engine->counters().sample_extracts +=
-            static_cast<int64_t>(count) * n_live;
-        // One batched keyswitch flush covers every (item, output) pair.
-        w.ks_in.resize(nstage);
-        w.ks_out.resize(nstage);
-        for (int j = 0; j < n_live; ++j) {
-          for (int k = 0; k < count; ++k) {
-            const size_t s = static_cast<size_t>(j * count + k);
-            w.ks_in[s] = &w.stage[s];
-            w.ks_out[s] = &results[static_cast<size_t>(w.live[k])]
-                               .values[static_cast<size_t>(
-                                   wires[static_cast<size_t>(j)])];
-          }
-        }
-        key_switch_batch(ks_, w.ks_in.data(), w.ks_out.data(),
-                         static_cast<int>(nstage), w.ks_ws);
-        for (int j = 0; j < n_live; ++j) {
-          for (int k = 0; k < count; ++k) {
-            results[static_cast<size_t>(w.live[k])]
-                .value_ok[static_cast<size_t>(wires[static_cast<size_t>(j)])] =
-                1;
-          }
-        }
-        maybe_flip_keyswitch_output(w, wires[0], results, fail_item);
-        return;
-      }
-      default: {
-        for (int k = 0; k < count; ++k) {
-          const auto& v = results[static_cast<size_t>(w.live[k])].values;
-          w.combo[static_cast<size_t>(k)] = binary_gate_input(
-              n.kind, v[n.in[0]], v[n.in[1]], mu_, bk_.n_lwe);
-          w.bs_in[static_cast<size_t>(k)] = &w.combo[static_cast<size_t>(k)];
-          w.bs_out[static_cast<size_t>(k)] = &w.stage[static_cast<size_t>(k)];
-        }
-        check_bsk_stream();
-        bootstrap_wo_keyswitch_batch(eng, bk_, mu_, w.bs_in.data(),
-                                     w.bs_out.data(), count, w.ws, mode_);
+        default:
+          combo = binary_gate_input(n.kind, v[n.in[0]], v[n.in[1]], mu_,
+                                    bk_.n_lwe);
       }
     }
-    w.engine->counters().sample_extracts += static_cast<int64_t>(nflush);
-    // Deferred flush: one streaming pass over the keyswitch key serves the
-    // whole group (bit-identical to per-item key_switch -- exact mod-2^32).
-    w.ks_in.resize(static_cast<size_t>(count));
-    w.ks_out.resize(static_cast<size_t>(count));
-    for (int k = 0; k < count; ++k) {
-      w.ks_in[static_cast<size_t>(k)] = &w.stage[static_cast<size_t>(k)];
-      w.ks_out[static_cast<size_t>(k)] =
-          &results[static_cast<size_t>(w.live[k])]
-               .values[static_cast<size_t>(id)];
+    for (int k = 0; k < rotations; ++k) {
+      w.bs_in[static_cast<size_t>(k)] = &w.combo[static_cast<size_t>(k)];
     }
-    key_switch_batch(ks_, w.ks_in.data(), w.ks_out.data(), count, w.ks_ws);
-    for (int k = 0; k < count; ++k) {
-      results[static_cast<size_t>(w.live[k])]
-          .value_ok[static_cast<size_t>(id)] = 1;
+
+    // Live outputs: extraction offset and destination wire. A gate has one,
+    // at offset 0, under the cached constant gate test vector. A LUT keeps
+    // its primary (this wire) plus every kLutOut child the compiled graph
+    // kept, output j reading slot_shift * (ring N / slots) -- one
+    // test-vector band per slot; dead outputs cost nothing.
+    std::array<int, kLutMaxOutputs> offsets{};
+    std::array<int, kLutMaxOutputs> wires{};
+    int n_out = 1;
+    wires[0] = id;
+    const TorusPolynomial* testv = &w.ws.testv;
+    if (n.kind == GateKind::kLut) {
+      testv = node_testv_[static_cast<size_t>(id)];
+      const auto& out_wires = lut_out_wires_[static_cast<size_t>(id)];
+      const int band = w.engine->ring_n() / n.lut.slots();
+      n_out = 0;
+      for (int j = 0; j < n.lut.n_out; ++j) {
+        if (out_wires[static_cast<size_t>(j)] < 0) continue;
+        offsets[static_cast<size_t>(n_out)] = n.lut.output(j).slot_shift * band;
+        wires[static_cast<size_t>(n_out)] = out_wires[static_cast<size_t>(j)];
+        ++n_out;
+      }
+    } else {
+      set_gate_testv(w.ws, mu_, bk_.gadget);
     }
-    maybe_flip_keyswitch_output(w, id, results, fail_item);
+    const size_t nstage =
+        static_cast<size_t>(rotations) * static_cast<size_t>(n_out);
+    if (w.stage.size() < nstage) w.stage.resize(nstage);
+    w.bs_out.resize(nstage);
+    for (size_t s = 0; s < nstage; ++s) w.bs_out[s] = &w.stage[s];
+
+    // The bootstrapping key is shared read-only; a corrupted row cannot be
+    // written into it. The modeled failure is a *detected* corruption of the
+    // streamed row (ECC/checksum trap in hardware terms): the whole flush is
+    // abandoned before rotation, the group's items retry.
+    if (fault::should_fire(fault::kSiteBskRowCorrupt)) {
+      throw fault::FaultInjected(
+          fault::kSiteBskRowCorrupt,
+          data_loss_status("bootstrap-key row failed its stream integrity "
+                           "check (injected corruption)"));
+    }
+    // (2) One rotate-and-extract call for the whole group.
+    rotate_extract_batch(*w.engine, bk_, *testv, w.bs_in.data(),
+                         w.bs_out.data(), offsets.data(), n_out, rotations,
+                         w.ws);
+    w.engine->counters().sample_extracts += static_cast<int64_t>(nstage);
+
+    // (3) MUX = u1 + u0 + (0, mu), still before the key switch.
+    if (n.kind == GateKind::kMux) {
+      for (int k = 0; k < count; ++k) {
+        mux_combine(w.stage[static_cast<size_t>(k)],
+                    w.stage[static_cast<size_t>(count + k)], mu_);
+      }
+    }
+
+    // (4) Deferred flush: one streaming pass over the keyswitch key serves
+    // every (item, output) pair of the group (bit-identical to per-item
+    // key_switch -- exact mod-2^32). Output j of item k was staged at
+    // j * rotations + k.
+    const size_t nks = static_cast<size_t>(count) * static_cast<size_t>(n_out);
+    w.ks_in.resize(nks);
+    w.ks_out.resize(nks);
+    for (int j = 0; j < n_out; ++j) {
+      for (int k = 0; k < count; ++k) {
+        const size_t s = static_cast<size_t>(j * count + k);
+        w.ks_in[s] = &w.stage[static_cast<size_t>(j * rotations + k)];
+        w.ks_out[s] = &results[static_cast<size_t>(w.live[k])]
+                           .values[static_cast<size_t>(
+                               wires[static_cast<size_t>(j)])];
+      }
+    }
+    key_switch_batch(ks_, w.ks_in.data(), w.ks_out.data(),
+                     static_cast<int>(nks), w.ks_ws);
+    for (int j = 0; j < n_out; ++j) {
+      for (int k = 0; k < count; ++k) {
+        results[static_cast<size_t>(w.live[k])]
+            .value_ok[static_cast<size_t>(wires[static_cast<size_t>(j)])] = 1;
+      }
+    }
+    maybe_flip_keyswitch_output(w, wires[0], results, fail_item);
   }
 
   /// Resolve (building on demand) the LUT test vectors the graph needs, plus
@@ -797,7 +744,6 @@ class BatchExecutor {
   const DeviceBootstrapKey<Engine>& bk_;
   const KeySwitchKey& ks_;
   Torus32 mu_;
-  BlindRotateMode mode_;
   std::chrono::milliseconds deadline_{0};
   int max_retries_ = 4;
   ThreadPool pool_;

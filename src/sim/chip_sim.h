@@ -100,9 +100,9 @@ struct ChipSpec {
 };
 
 /// Heterogeneous multi-chip simulation: the partitioner weights each chip's
-/// load cap by its measured bootstrap throughput (1 / steady interval), the
-/// surrogate climb uses per-chip intervals, and the scheduler replays each
-/// chip's own DFG. `cfg.pipelines` is ignored; chips[] rules.
+/// load cap by its measured bootstrap throughput (1 / steady interval), and
+/// both its makespan descent and the final schedule replay each chip's own
+/// DFG. `cfg.pipelines` is ignored; chips[] rules.
 MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
                                               const GateDag& dag,
                                               const std::vector<ChipSpec>& chips,

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -15,6 +14,29 @@
 #include "sim/cycle_sim.h"
 
 namespace matcha::sim {
+
+namespace {
+
+/// The topological contract: every dep (and pin) of gate i indexes an
+/// earlier gate. Checked once per public call, so malformed input throws
+/// instead of indexing past the per-gate arrays.
+void require_topological(const GateDag& dag, const char* who) {
+  for (size_t i = 0; i < dag.gates.size(); ++i) {
+    const GateDagNode& g = dag.gates[i];
+    for (const int d : g.deps) {
+      if (d < 0 || d >= static_cast<int>(i)) {
+        throw std::invalid_argument(std::string(who) +
+                                    ": deps must index earlier gates");
+      }
+    }
+    if (g.pin >= static_cast<int>(i)) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": pin must index an earlier gate");
+    }
+  }
+}
+
+} // namespace
 
 int64_t GateDag::total_bootstraps() const {
   int64_t total = 0;
@@ -29,12 +51,12 @@ int64_t GateDag::total_extractions() const {
 }
 
 int64_t GateDag::critical_path_bootstraps() const {
+  require_topological(*this, "GateDag::critical_path_bootstraps");
   std::vector<int64_t> depth(gates.size(), 0);
   int64_t longest = 0;
   for (size_t i = 0; i < gates.size(); ++i) {
     int64_t deepest = 0;
     for (const int d : gates[i].deps) {
-      assert(d >= 0 && d < static_cast<int>(i) && "DAG must be topological");
       if (depth[d] > deepest) deepest = depth[d];
     }
     depth[i] = deepest + gates[i].bootstraps;
@@ -64,25 +86,6 @@ GateDag replicate_gate_dag(const GateDag& circuit, int copies) {
 
 namespace {
 
-/// The topological contract: every dep (and pin) of gate i indexes an
-/// earlier gate. Checked once per public call, so malformed input throws
-/// instead of indexing past the per-gate arrays.
-void require_topological(const GateDag& dag, const char* who) {
-  for (size_t i = 0; i < dag.gates.size(); ++i) {
-    const GateDagNode& g = dag.gates[i];
-    for (const int d : g.deps) {
-      if (d < 0 || d >= static_cast<int>(i)) {
-        throw std::invalid_argument(std::string(who) +
-                                    ": deps must index earlier gates");
-      }
-    }
-    if (g.pin >= static_cast<int>(i)) {
-      throw std::invalid_argument(std::string(who) +
-                                  ": pin must index an earlier gate");
-    }
-  }
-}
-
 int64_t count_cut(const GateDag& dag, const std::vector<int>& chip_of) {
   int64_t cut = 0;
   for (size_t i = 0; i < dag.gates.size(); ++i) {
@@ -101,50 +104,6 @@ std::vector<std::vector<int>> user_lists(const GateDag& dag) {
     }
   }
   return users;
-}
-
-/// Per-edge cut weight for the slack-aware refinement: an edge the critical
-/// path runs through costs 1 + kSlackWeight, an edge with full slack costs 1.
-/// Cutting a critical edge delays the whole circuit by a link transfer;
-/// cutting a slack edge costs nothing observable, which is exactly why the
-/// idle link lets the round-2 partitioner trade cut size for balance.
-constexpr double kSlackWeight = 3.0;
-
-std::vector<std::vector<double>> slack_edge_weights(const GateDag& dag) {
-  const size_t n = dag.gates.size();
-  // top[i]: longest bootstrap-weighted path ending at i (inclusive);
-  // bottom[i]: longest path starting at i (inclusive).
-  std::vector<int64_t> top(n, 0), bottom(n, 0);
-  int64_t cp = 0;
-  for (size_t i = 0; i < n; ++i) {
-    int64_t deepest = 0;
-    for (const int d : dag.gates[i].deps) {
-      deepest = std::max(deepest, top[static_cast<size_t>(d)]);
-    }
-    top[i] = deepest + dag.gates[i].bootstraps;
-    cp = std::max(cp, top[i]);
-  }
-  for (size_t i = 0; i < n; ++i) bottom[i] = dag.gates[i].bootstraps;
-  for (size_t ri = n; ri-- > 0;) {
-    // Consumers of ri have larger indices, so bottom[ri] is final here.
-    for (const int d : dag.gates[ri].deps) {
-      auto& bd = bottom[static_cast<size_t>(d)];
-      bd = std::max(bd,
-                    dag.gates[static_cast<size_t>(d)].bootstraps + bottom[ri]);
-    }
-  }
-  std::vector<std::vector<double>> w(n);
-  const double denom = cp > 0 ? static_cast<double>(cp) : 1.0;
-  for (size_t i = 0; i < n; ++i) {
-    w[i].reserve(dag.gates[i].deps.size());
-    for (const int d : dag.gates[i].deps) {
-      const int64_t through = top[static_cast<size_t>(d)] + bottom[i];
-      const int64_t slack = std::max<int64_t>(0, cp - through);
-      const double crit = 1.0 - static_cast<double>(slack) / denom;
-      w[i].push_back(1.0 + kSlackWeight * crit);
-    }
-  }
-  return w;
 }
 
 /// Snap pinned wire nodes (NOT / kFreeOr) onto their anchor's chip when edge
@@ -174,38 +133,6 @@ void snap_pinned_nodes(const GateDag& dag,
 }
 
 } // namespace
-
-int64_t estimate_partition_makespan(const GateDag& dag,
-                                    const std::vector<int>& chip_of,
-                                    int num_chips, int64_t latency,
-                                    const std::vector<int64_t>& chip_interval,
-                                    int64_t transfer_cycles) {
-  std::vector<int64_t> end(dag.gates.size(), 0);
-  std::vector<int64_t> chip_clock(static_cast<size_t>(num_chips), 0);
-  int64_t makespan = 0;
-  for (size_t i = 0; i < dag.gates.size(); ++i) {
-    const GateDagNode& g = dag.gates[i];
-    const int c = chip_of[i];
-    int64_t ready = 0;
-    for (const int d : g.deps) {
-      int64_t t = end[static_cast<size_t>(d)];
-      if (chip_of[static_cast<size_t>(d)] != c) t += transfer_cycles;
-      ready = std::max(ready, t);
-    }
-    if (g.bootstraps <= 0) {
-      end[i] = ready;
-    } else {
-      const int64_t interval = chip_interval.empty()
-                                   ? latency
-                                   : chip_interval[static_cast<size_t>(c)];
-      const int64_t start = std::max(ready, chip_clock[static_cast<size_t>(c)]);
-      end[i] = start + latency + (g.bootstraps - 1) * interval;
-      chip_clock[static_cast<size_t>(c)] = start + g.bootstraps * interval;
-    }
-    makespan = std::max(makespan, end[i]);
-  }
-  return makespan;
-}
 
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
                                     const PartitionOptions& opt) {
@@ -272,8 +199,7 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
   // alone while the rest sit idle is *faster* than forced balance). Explicit
   // heterogeneous capacities stay binding either way.
   const bool true_model =
-      opt.latency_aware &&
-      (!opt.chips.empty() || (opt.dfg != nullptr && opt.pipelines > 0));
+      !opt.chips.empty() || (opt.dfg != nullptr && opt.pipelines > 0);
   const bool loose_caps = true_model && opt.chip_capacity.empty();
   for (int c = 0; c < effective; ++c) {
     part.chip_load_cap[static_cast<size_t>(c)] =
@@ -286,72 +212,22 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
 
   const std::vector<std::vector<int>> users = user_lists(dag);
 
-  // Seed: capacity-weighted split along a chip-monotone key. The PR-4 seed
-  // orders gates by topological index (contiguous prefix blocks); the
-  // latency-aware seed orders by bootstrap-weighted critical depth, which
-  // bands the DAG by wavefront so every chip holds a slice of each stage's
-  // fan-out rather than one long pipeline stage. Both keys are monotone
-  // nondecreasing along dependence edges, so chip ids are too.
-  const auto seed_by_order = [&](const std::vector<int>& order) {
-    std::vector<int> chip(static_cast<size_t>(n), 0);
-    if (effective > 1 && total_w > 0) {
-      int64_t prefix = 0;
-      int c = 0;
-      int64_t threshold = static_cast<int64_t>(
-          total_w * share[0] + 0.5);
-      for (const int i : order) {
-        while (c < effective - 1 && prefix >= threshold) {
-          ++c;
-          threshold += static_cast<int64_t>(total_w * share[static_cast<size_t>(c)] + 0.5);
-        }
-        chip[static_cast<size_t>(i)] = c;
-        prefix += dag.gates[static_cast<size_t>(i)].bootstraps;
-      }
-    }
-    return chip;
-  };
-
-  std::vector<int> index_order(static_cast<size_t>(n));
-  std::iota(index_order.begin(), index_order.end(), 0);
-  std::vector<int> chip_of = seed_by_order(index_order);
-
-  if (opt.latency_aware && !true_model && effective > 1) {
-    // Depth-band seed: stable-sort by critical depth (ties keep index order,
-    // so equal-depth edges -- zero-weight wire nodes -- stay monotone).
-    std::vector<int64_t> depth(static_cast<size_t>(n), 0);
+  // Seed: capacity-weighted contiguous blocks of the topological order.
+  // Chip ids are nondecreasing in the gate index, so every dependence edge
+  // is chip-monotone.
+  std::vector<int> chip_of(static_cast<size_t>(n), 0);
+  if (effective > 1 && total_w > 0) {
+    int64_t prefix = 0;
+    int c = 0;
+    int64_t threshold = static_cast<int64_t>(total_w * share[0] + 0.5);
     for (int i = 0; i < n; ++i) {
-      int64_t deepest = 0;
-      for (const int d : dag.gates[static_cast<size_t>(i)].deps) {
-        deepest = std::max(deepest, depth[static_cast<size_t>(d)]);
+      while (c < effective - 1 && prefix >= threshold) {
+        ++c;
+        threshold += static_cast<int64_t>(
+            total_w * share[static_cast<size_t>(c)] + 0.5);
       }
-      depth[static_cast<size_t>(i)] =
-          deepest + dag.gates[static_cast<size_t>(i)].bootstraps;
-    }
-    std::vector<int> depth_order = index_order;
-    std::stable_sort(depth_order.begin(), depth_order.end(),
-                     [&](int a, int b) {
-                       return depth[static_cast<size_t>(a)] <
-                              depth[static_cast<size_t>(b)];
-                     });
-    const std::vector<int> banded = seed_by_order(depth_order);
-    // Pick the seed the surrogate likes better (fall back to cut size when
-    // no cost model was provided).
-    if (opt.bootstrap_latency > 0) {
-      std::vector<int64_t> intervals = opt.chip_interval;
-      if (intervals.empty()) {
-        intervals.assign(static_cast<size_t>(num_chips),
-                         opt.bootstrap_interval > 0 ? opt.bootstrap_interval
-                                                    : opt.bootstrap_latency);
-      }
-      const int64_t a = estimate_partition_makespan(
-          dag, chip_of, num_chips, opt.bootstrap_latency, intervals,
-          opt.transfer_cycles);
-      const int64_t b = estimate_partition_makespan(
-          dag, banded, num_chips, opt.bootstrap_latency, intervals,
-          opt.transfer_cycles);
-      if (b < a) chip_of = banded;
-    } else if (count_cut(dag, banded) < count_cut(dag, chip_of)) {
-      chip_of = banded;
+      chip_of[static_cast<size_t>(i)] = c;
+      prefix += dag.gates[static_cast<size_t>(i)].bootstraps;
     }
   }
 
@@ -361,15 +237,14 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
         dag.gates[static_cast<size_t>(i)].bootstraps;
   }
 
-  // ---- True-cycle-model refinement (round 2, primary path) ----
-  // The analytic surrogate ranks partitions poorly (it serializes pipeline
-  // latencies the real chip overlaps), so when the caller hands us the
-  // actual per-bootstrap DFG we optimize the real objective: run the full
-  // multi-chip schedule per candidate. Two move sets, both monotone by
-  // construction: (a) coordinate descent on the topological prefix
-  // boundaries -- bulk re-splits that single-gate moves cannot reach across
-  // makespan plateaus -- then (b) a single-gate polish within each gate's
-  // [max dep chip, min user chip] window.
+  // ---- With a cycle model: makespan descent (round 2) ----
+  // Every candidate is scored by the full multi-chip schedule itself -- an
+  // analytic surrogate ranked partitions inversely (it serializes pipeline
+  // latencies the real chip overlaps; DESIGN.md "The surrogate trap"). Two
+  // move sets, both monotone by construction: (a) coordinate descent on the
+  // topological prefix boundaries -- bulk re-splits that single-gate moves
+  // cannot reach across makespan plateaus -- then (b) a single-gate polish
+  // within each gate's [max dep chip, min user chip] window.
   if (true_model && effective > 1 && n > 1) {
     std::vector<ChipResources> chip_specs = opt.chips;
     if (chip_specs.empty()) {
@@ -529,31 +404,20 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
     }
   }
 
-  // Phase 1 -- KL-style greedy refinement on the (optionally slack-weighted)
-  // cut: move one gate at a time to an adjacent chip when that strictly
-  // reduces the cut cost, never violating edge monotonicity (the move stays
-  // within [max dep chip, min user chip]) nor the per-chip load cap. Moves
-  // are applied immediately; passes repeat until a fixed point.
+  // No cycle model: PR-4 greedy-KL refinement of the cut. Move one gate at
+  // a time to an adjacent chip when that strictly reduces the number of cut
+  // edges, never violating edge monotonicity (the move stays within [max dep
+  // chip, min user chip]) nor the per-chip load cap. Moves are applied
+  // immediately; passes repeat until a fixed point.
   if (!true_model && effective > 1 && n > 1) {
-    std::vector<std::vector<double>> ew;
-    if (opt.latency_aware) ew = slack_edge_weights(dag);
-    const auto edge_w = [&](int consumer, size_t dep_idx) {
-      return ew.empty() ? 1.0
-                        : ew[static_cast<size_t>(consumer)][dep_idx];
-    };
     const auto cross = [&](int v, int chip) {
-      double c = 0;
-      const auto& deps = dag.gates[static_cast<size_t>(v)].deps;
-      for (size_t k = 0; k < deps.size(); ++k) {
-        if (chip_of[static_cast<size_t>(deps[k])] != chip) c += edge_w(v, k);
+      int64_t c = 0;
+      for (const int d : dag.gates[static_cast<size_t>(v)].deps) {
+        c += chip_of[static_cast<size_t>(d)] != chip;
       }
       for (const int u : users[static_cast<size_t>(v)]) {
-        const auto& udeps = dag.gates[static_cast<size_t>(u)].deps;
-        for (size_t k = 0; k < udeps.size(); ++k) {
-          if (udeps[k] == v && chip_of[static_cast<size_t>(u)] != chip) {
-            c += edge_w(u, k);
-          }
-        }
+        if (chip_of[static_cast<size_t>(u)] == chip) continue;
+        for (const int d : dag.gates[static_cast<size_t>(u)].deps) c += d == v;
       }
       return c;
     };
@@ -569,15 +433,15 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
           hi = std::min(hi, chip_of[static_cast<size_t>(u)]);
         }
         const int64_t w = dag.gates[static_cast<size_t>(v)].bootstraps;
-        const double here = cross(v, c);
+        const int64_t here = cross(v, c);
         int best_chip = c;
-        double best_gain = 1e-9;
+        int64_t best_gain = 0;
         for (const int c2 : {c - 1, c + 1}) {
           if (c2 < lo || c2 > hi) continue;
           if (load[static_cast<size_t>(c2)] + w >
               part.chip_load_cap[static_cast<size_t>(c2)])
             continue;
-          const double gain = here - cross(v, c2);
+          const int64_t gain = here - cross(v, c2);
           if (gain > best_gain) {
             best_gain = gain;
             best_chip = c2;
@@ -594,68 +458,9 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
     }
   }
 
-  // Phase 2 -- surrogate-makespan hill climb (round 2): re-place single
-  // gates anywhere in their monotone window when the latency/throughput
-  // estimate of the whole schedule drops. Cut size may rise; the link is
-  // idle, so only the makespan matters. Weighted cut breaks ties so the
-  // search cannot wander at equal cost.
-  if (!true_model && opt.latency_aware && opt.bootstrap_latency > 0 &&
-      effective > 1 && n > 1) {
-    std::vector<int64_t> intervals = opt.chip_interval;
-    if (intervals.empty()) {
-      intervals.assign(static_cast<size_t>(num_chips),
-                       opt.bootstrap_interval > 0 ? opt.bootstrap_interval
-                                                  : opt.bootstrap_latency);
-    }
-    const auto estimate = [&] {
-      return estimate_partition_makespan(dag, chip_of, num_chips,
-                                         opt.bootstrap_latency, intervals,
-                                         opt.transfer_cycles);
-    };
-    int64_t best_est = estimate();
-    for (int pass = 0; pass < 8; ++pass) {
-      bool moved = false;
-      for (int v = 0; v < n; ++v) {
-        const GateDagNode& g = dag.gates[static_cast<size_t>(v)];
-        if (g.pin >= 0 && g.bootstraps == 0) continue; // snapped below
-        const int c = chip_of[static_cast<size_t>(v)];
-        int lo = 0, hi = effective - 1;
-        for (const int d : g.deps) {
-          lo = std::max(lo, chip_of[static_cast<size_t>(d)]);
-        }
-        for (const int u : users[static_cast<size_t>(v)]) {
-          hi = std::min(hi, chip_of[static_cast<size_t>(u)]);
-        }
-        int best_chip = c;
-        int64_t best_here = best_est;
-        for (int c2 = lo; c2 <= hi; ++c2) {
-          if (c2 == c) continue;
-          if (load[static_cast<size_t>(c2)] + g.bootstraps >
-              part.chip_load_cap[static_cast<size_t>(c2)])
-            continue;
-          chip_of[static_cast<size_t>(v)] = c2;
-          const int64_t est = estimate();
-          chip_of[static_cast<size_t>(v)] = c;
-          if (est < best_here) {
-            best_here = est;
-            best_chip = c2;
-          }
-        }
-        if (best_chip != c) {
-          chip_of[static_cast<size_t>(v)] = best_chip;
-          load[static_cast<size_t>(c)] -= g.bootstraps;
-          load[static_cast<size_t>(best_chip)] += g.bootstraps;
-          best_est = best_here;
-          moved = true;
-        }
-      }
-      if (!moved) break;
-    }
-  }
-
-  // Phase 3 -- wire-node anchoring: NOT/kFreeOr nodes ride with the
-  // rotation that feeds them, so their outputs never pay a transfer away
-  // from their anchor and multi-output bundles stay priced once.
+  // Wire-node anchoring: NOT/kFreeOr nodes ride with the rotation that
+  // feeds them, so their outputs never pay a transfer away from their anchor
+  // and multi-output bundles stay priced once.
   if (opt.pin_wire_nodes) {
     snap_pinned_nodes(dag, users, effective, chip_of, load);
   }
@@ -672,7 +477,6 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
 
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips) {
   PartitionOptions pr4;
-  pr4.latency_aware = false;
   pr4.pin_wire_nodes = false;
   return partition_gate_dag(dag, num_chips, pr4);
 }

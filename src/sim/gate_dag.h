@@ -16,12 +16,12 @@
 // Round 2 (batch-aware scheduling): the partition objective is *predicted
 // makespan*, not cut size -- the inter-chip link sits below 0.01% utilization
 // on every measured circuit, so cut wires are nearly free while chip idle
-// time is not. PartitionOptions selects the round-2 refinement (slack-
-// weighted cut costs + a surrogate-makespan hill climb over a latency/
-// throughput chip model) and carries heterogeneous per-chip capacities; the
-// plain two-argument partition_gate_dag keeps the PR-4 min-cut behavior as
-// the A/B baseline. sim/multichip_policy.h builds on this to pick
-// replicate-vs-shard placements per batch shape.
+// time is not. PartitionOptions attaches the cycle model the refinement
+// scores candidates with (the true multi-chip schedule) and carries
+// heterogeneous per-chip capacities; the plain two-argument
+// partition_gate_dag keeps the PR-4 min-cut behavior as the A/B baseline.
+// sim/multichip_policy.h builds on this to pick replicate-vs-shard
+// placements per batch shape.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +59,8 @@ struct GateDag {
   int64_t total_bootstraps() const;
   int64_t total_extractions() const;
   /// Longest dependency chain, weighted in bootstraps -- the depth bound no
-  /// amount of pipelines can beat.
+  /// amount of pipelines can beat. Throws std::invalid_argument when a dep
+  /// or pin does not index an earlier gate.
   int64_t critical_path_bootstraps() const;
 };
 
@@ -93,47 +94,36 @@ struct ChipResources {
   const Dfg* dfg = nullptr;
 };
 
-/// Round-2 partition knobs. Defaults reproduce the batch-aware objective
-/// (makespan-driven refinement, wire-node pinning); construct with
-/// latency_aware=false for the PR-4 pure min-cut baseline.
+/// Round-2 partition knobs. With a cycle model attached (`dfg`+`pipelines`,
+/// or `chips`), refinement is a prefix-boundary coordinate descent plus a
+/// single-gate polish against the *true* multi-chip schedule -- cut size
+/// rises freely, only predicted makespan matters. Without one it is PR-4
+/// greedy-KL min-cut.
 struct PartitionOptions {
   /// Relative per-chip throughput capacity (empty = homogeneous). Load caps
   /// and balance targets scale by each chip's share, so a chip with twice
   /// the pipelines absorbs twice the bootstraps.
   std::vector<double> chip_capacity;
-  /// Makespan-driven refinement instead of PR-4 greedy-KL min-cut. With a
-  /// cycle model attached (`dfg`+`pipelines`, or `chips`), refinement is a
-  /// prefix-boundary coordinate descent plus single-gate polish against the
-  /// *true* multi-chip schedule -- cut size rises freely, only predicted
-  /// makespan matters. Without one it falls back to slack-weighted KL (cut
-  /// edges near the critical path cost more) plus a coarse analytic climb.
-  bool latency_aware = true;
   /// Snap zero-bootstrap wire nodes (GateDagNode::pin) onto their anchor's
   /// chip whenever edge monotonicity allows, so NOT/kFreeOr wires are never
   /// separated from the rotation that feeds them.
   bool pin_wire_nodes = true;
-  /// True cycle model for latency_aware refinement: the per-bootstrap DFG
-  /// and per-chip pipeline count every chip runs (homogeneous)...
+  /// Cycle model for the makespan refinement: the per-bootstrap DFG and
+  /// per-chip pipeline count every chip runs (homogeneous)...
   const Dfg* dfg = nullptr;
   int pipelines = 0;
   /// ...or a full per-chip resource list (heterogeneous; overrides
   /// dfg/pipelines when non-empty). Pointers must outlive the call.
   std::vector<ChipResources> chips;
-  /// Analytic fallback model: cycles of one bootstrap alone, steady-state
-  /// cycles between bootstrap completions on one chip (optionally per chip).
-  /// Zero latency disables the fallback climb (slack-weighted KL still runs).
-  int64_t bootstrap_latency = 0;
-  int64_t bootstrap_interval = 0;
-  std::vector<int64_t> chip_interval;
   int64_t transfer_cycles = 0;
 };
 
-/// Shard the DAG into `num_chips` parts. Seeds are chip-monotone by
-/// construction (weight-balanced topological prefix blocks, and -- round 2 --
-/// critical-depth bands); refinement moves single gates between chips
-/// without ever violating edge monotonicity or the per-chip load cap.
-/// Deterministic for a given DAG and options. Throws std::invalid_argument
-/// when a dep or pin does not index an earlier gate.
+/// Shard the DAG into `num_chips` parts. The seed is chip-monotone by
+/// construction (weight-balanced topological prefix blocks); refinement
+/// moves boundaries or single gates between chips without ever violating
+/// edge monotonicity or the per-chip load cap. Deterministic for a given DAG
+/// and options. Throws std::invalid_argument when a dep or pin does not
+/// index an earlier gate.
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
                                     const PartitionOptions& opt);
 
@@ -141,17 +131,6 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
 /// degenerate-DAG fix). The A/B reference the round-2 options are measured
 /// against.
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips);
-
-/// Latency/throughput surrogate of the multi-chip schedule for a given
-/// partition: per chip, bootstraps complete no faster than one per
-/// `interval` cycles; a gate's first bootstrap pays the full `latency`; a
-/// cross-chip operand adds `transfer_cycles`. O(V+E) -- the refinement
-/// objective, and a useful sanity probe for tests.
-int64_t estimate_partition_makespan(const GateDag& dag,
-                                    const std::vector<int>& chip_of,
-                                    int num_chips, int64_t latency,
-                                    const std::vector<int64_t>& chip_interval,
-                                    int64_t transfer_cycles);
 
 struct MultiChipScheduleResult {
   int num_gates = 0;

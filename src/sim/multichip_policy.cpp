@@ -65,7 +65,6 @@ BatchPlan plan_batch_schedule(const BatchPlanRequest& req) {
   plan.batch_dag = replicate_gate_dag(*req.circuit, req.batch);
 
   PartitionOptions opt;
-  opt.latency_aware = req.latency_aware;
   opt.dfg = req.dfg;
   opt.pipelines = req.pipelines;
   opt.transfer_cycles = req.transfer_cycles;
@@ -83,7 +82,7 @@ BatchPlan plan_batch_schedule(const BatchPlanRequest& req) {
     if (it != shard_cache.end()) return it->second;
     const GateDag sub = replicate_gate_dag(*req.circuit, copies);
     GateDagPartition best = partition_gate_dag(sub, S);
-    if (copies == 1 && S > 1 && req.latency_aware) {
+    if (copies == 1 && S > 1) {
       GateDagPartition refined = partition_gate_dag(sub, S, opt);
       const int64_t t_greedy =
           schedule_gate_dag_multichip(*req.dfg, sub, best, req.pipelines,

@@ -45,10 +45,6 @@ struct BatchPlanRequest {
   int num_chips = 1;
   int pipelines = 1;
   int64_t transfer_cycles = 0;
-  /// Use the round-2 latency-aware partitioner for the intra-group shards
-  /// (false = PR-4 greedy-KL; either way every variant is also priced with
-  /// the baseline partition and the better of the two is kept).
-  bool latency_aware = true;
 };
 
 /// One candidate placement the policy priced.

@@ -48,9 +48,8 @@ struct BatchScheduleResult {
 /// per-bootstrap DFG: the latency of one bootstrap alone and the steady-state
 /// interval between bootstrap completions on a chip with `pipelines`
 /// TGSW/EP pairs (bounded below by whichever chip-shared resource -- HBM or
-/// the polynomial unit -- saturates first). This is the surrogate cost model
-/// the round-2 partitioner climbs against (sim/gate_dag.h
-/// PartitionOptions::bootstrap_latency / bootstrap_interval).
+/// the polynomial unit -- saturates first). sim/chip_sim.cpp reports the
+/// latency and sizes heterogeneous chips' capacity shares by the interval.
 struct BootstrapProfile {
   int64_t latency = 0;                  ///< one bootstrap, empty chip
   int64_t hbm_busy = 0;                 ///< HBM cycles per bootstrap

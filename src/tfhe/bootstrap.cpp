@@ -10,92 +10,29 @@ template struct BootstrapWorkspace<DoubleFftEngine>;
 template struct BootstrapWorkspace<LiftFftEngine>;
 template struct BootstrapWorkspace<SimdFftEngine>;
 
-template void blind_rotate<DoubleFftEngine>(const DoubleFftEngine&,
-                                            const DeviceBootstrapKey<DoubleFftEngine>&,
-                                            const LweSample&, const TorusPolynomial&,
-                                            BootstrapWorkspace<DoubleFftEngine>&,
-                                            BlindRotateMode);
-template void blind_rotate<LiftFftEngine>(const LiftFftEngine&,
-                                          const DeviceBootstrapKey<LiftFftEngine>&,
-                                          const LweSample&, const TorusPolynomial&,
-                                          BootstrapWorkspace<LiftFftEngine>&,
-                                          BlindRotateMode);
-
-template LweSample bootstrap_wo_keyswitch<DoubleFftEngine>(
-    const DoubleFftEngine&, const DeviceBootstrapKey<DoubleFftEngine>&, Torus32,
-    const LweSample&, BootstrapWorkspace<DoubleFftEngine>&, BlindRotateMode);
-template LweSample bootstrap_wo_keyswitch<LiftFftEngine>(
-    const LiftFftEngine&, const DeviceBootstrapKey<LiftFftEngine>&, Torus32,
-    const LweSample&, BootstrapWorkspace<LiftFftEngine>&, BlindRotateMode);
-
-template LweSample bootstrap<DoubleFftEngine>(const DoubleFftEngine&,
-                                              const DeviceBootstrapKey<DoubleFftEngine>&,
-                                              const KeySwitchKey&, Torus32,
-                                              const LweSample&,
-                                              BootstrapWorkspace<DoubleFftEngine>&,
-                                              BlindRotateMode);
-template LweSample bootstrap<LiftFftEngine>(const LiftFftEngine&,
-                                            const DeviceBootstrapKey<LiftFftEngine>&,
-                                            const KeySwitchKey&, Torus32,
-                                            const LweSample&,
-                                            BootstrapWorkspace<LiftFftEngine>&,
-                                            BlindRotateMode);
-
-template void blind_rotate<SimdFftEngine>(const SimdFftEngine&,
-                                          const DeviceBootstrapKey<SimdFftEngine>&,
-                                          const LweSample&, const TorusPolynomial&,
-                                          BootstrapWorkspace<SimdFftEngine>&,
-                                          BlindRotateMode);
-
-template void blind_rotate_batch<DoubleFftEngine>(
-    const DoubleFftEngine&, const DeviceBootstrapKey<DoubleFftEngine>&,
-    const LweSample* const*, int, const TorusPolynomial&,
-    BootstrapWorkspace<DoubleFftEngine>&, BlindRotateMode);
-template void blind_rotate_batch<LiftFftEngine>(
-    const LiftFftEngine&, const DeviceBootstrapKey<LiftFftEngine>&,
-    const LweSample* const*, int, const TorusPolynomial&,
-    BootstrapWorkspace<LiftFftEngine>&, BlindRotateMode);
-template void blind_rotate_batch<SimdFftEngine>(
-    const SimdFftEngine&, const DeviceBootstrapKey<SimdFftEngine>&,
-    const LweSample* const*, int, const TorusPolynomial&,
-    BootstrapWorkspace<SimdFftEngine>&, BlindRotateMode);
-
-template void bootstrap_wo_keyswitch_batch<DoubleFftEngine>(
-    const DoubleFftEngine&, const DeviceBootstrapKey<DoubleFftEngine>&,
-    Torus32, const LweSample* const*, LweSample* const*, int,
-    BootstrapWorkspace<DoubleFftEngine>&, BlindRotateMode);
-template void bootstrap_wo_keyswitch_batch<LiftFftEngine>(
-    const LiftFftEngine&, const DeviceBootstrapKey<LiftFftEngine>&, Torus32,
-    const LweSample* const*, LweSample* const*, int,
-    BootstrapWorkspace<LiftFftEngine>&, BlindRotateMode);
-template void bootstrap_wo_keyswitch_batch<SimdFftEngine>(
-    const SimdFftEngine&, const DeviceBootstrapKey<SimdFftEngine>&, Torus32,
-    const LweSample* const*, LweSample* const*, int,
-    BootstrapWorkspace<SimdFftEngine>&, BlindRotateMode);
-
+// bootstrap_batch reaches every other batched entry point
+// (bootstrap_wo_keyswitch_batch -> rotate_extract_batch -> blind_rotate_batch).
 template void bootstrap_batch<DoubleFftEngine>(
     const DoubleFftEngine&, const DeviceBootstrapKey<DoubleFftEngine>&,
     const KeySwitchKey&, Torus32, const LweSample* const*, LweSample* const*,
-    int, BootstrapWorkspace<DoubleFftEngine>&, KeySwitchWorkspace&,
-    BlindRotateMode);
+    int, BootstrapWorkspace<DoubleFftEngine>&, KeySwitchWorkspace&);
 template void bootstrap_batch<LiftFftEngine>(
     const LiftFftEngine&, const DeviceBootstrapKey<LiftFftEngine>&,
     const KeySwitchKey&, Torus32, const LweSample* const*, LweSample* const*,
-    int, BootstrapWorkspace<LiftFftEngine>&, KeySwitchWorkspace&,
-    BlindRotateMode);
+    int, BootstrapWorkspace<LiftFftEngine>&, KeySwitchWorkspace&);
 template void bootstrap_batch<SimdFftEngine>(
     const SimdFftEngine&, const DeviceBootstrapKey<SimdFftEngine>&,
     const KeySwitchKey&, Torus32, const LweSample* const*, LweSample* const*,
-    int, BootstrapWorkspace<SimdFftEngine>&, KeySwitchWorkspace&,
-    BlindRotateMode);
-template LweSample bootstrap_wo_keyswitch<SimdFftEngine>(
+    int, BootstrapWorkspace<SimdFftEngine>&, KeySwitchWorkspace&);
+
+template void classic_bootstrap_wo_keyswitch_into<DoubleFftEngine>(
+    const DoubleFftEngine&, const DeviceBootstrapKey<DoubleFftEngine>&, Torus32,
+    const LweSample&, BootstrapWorkspace<DoubleFftEngine>&, LweSample&);
+template void classic_bootstrap_wo_keyswitch_into<LiftFftEngine>(
+    const LiftFftEngine&, const DeviceBootstrapKey<LiftFftEngine>&, Torus32,
+    const LweSample&, BootstrapWorkspace<LiftFftEngine>&, LweSample&);
+template void classic_bootstrap_wo_keyswitch_into<SimdFftEngine>(
     const SimdFftEngine&, const DeviceBootstrapKey<SimdFftEngine>&, Torus32,
-    const LweSample&, BootstrapWorkspace<SimdFftEngine>&, BlindRotateMode);
-template LweSample bootstrap<SimdFftEngine>(const SimdFftEngine&,
-                                            const DeviceBootstrapKey<SimdFftEngine>&,
-                                            const KeySwitchKey&, Torus32,
-                                            const LweSample&,
-                                            BootstrapWorkspace<SimdFftEngine>&,
-                                            BlindRotateMode);
+    const LweSample&, BootstrapWorkspace<SimdFftEngine>&, LweSample&);
 
 } // namespace matcha

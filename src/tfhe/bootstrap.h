@@ -1,10 +1,15 @@
 // Gate bootstrapping (paper Algorithm 1): blind rotation of a test vector,
-// sample extraction, and key switching. The blind rotation consumes the
-// (possibly unrolled) bootstrapping key one group at a time; with
-// BlindRotateMode::kBundle it builds the spectral bootstrapping-key bundle
-// per group (MATCHA's datapath, any m >= 1), with kClassicCMux it runs the
-// TFHE library's CMux chain (m == 1 only; the Fig. 1 CPU baseline).
+// sample extraction, and key switching. Every bootstrapping gate kind lowers
+// through ONE batched primitive, rotate_extract_batch: a group-major blind
+// rotation of B samples on MATCHA's bundle datapath (the spectral
+// bootstrapping-key bundle per key group, any m >= 1), read out at K ring
+// offsets, without the key switch. The gate bootstrap is that primitive with
+// the cached constant test vector and K = 1; a sequential caller is a batch
+// of one. The TFHE library's CMux chain is kept only as a sequential
+// reference (the Fig. 1 CPU baseline, m == 1 keys only).
 #pragma once
+
+#include <stdexcept>
 
 #include "bku/bundle.h"
 #include "bku/unrolled_key.h"
@@ -13,21 +18,13 @@
 
 namespace matcha {
 
-enum class BlindRotateMode {
-  kBundle,      ///< spectral BKB construction + one EP per group (MATCHA)
-  kClassicCMux, ///< ACC += BK_i (x) ((X^{a_i} - 1) ACC); requires m == 1
-};
-
 template <class Engine>
 struct BootstrapWorkspace {
   ExternalProductWorkspace<Engine> ep;
   TGswSpectral<Engine> bundle;
-  TLweSample acc;
-  TLweSample tmp;
+  TLweSample tmp; ///< classic-CMux step scratch: (X^{a_i} - 1) * ACC
   TorusPolynomial testv, testv_rot;
   std::vector<int32_t> exponents;
-  LweSample extracted; ///< N-LWE scratch between sample extract and keyswitch
-  LweSample extracted2; ///< second N-LWE scratch (MUX's second branch)
 
   // Gate test-vector caching. `testv` is workspace-owned: the gate bootstrap
   // fills it with the amplitude mu only when mu changed since the last fill
@@ -41,18 +38,15 @@ struct BootstrapWorkspace {
 
   // Batched-blind-rotation arena (grow-only, so steady-state batches are
   // allocation-free): per-sample accumulators and rotation states, plus the
-  // extract staging and keyswitch pointer tables bootstrap_batch flushes
-  // through.
+  // N-LWE staging bootstrap_batch extracts into before its keyswitch flush.
   std::vector<TLweSample> batch_acc;
   std::vector<BlindRotateState> batch_st;
   std::vector<LweSample> batch_u;
-  std::vector<const LweSample*> batch_ks_in;
-  std::vector<LweSample*> batch_ks_out;
+  std::vector<LweSample*> batch_u_ptr;
 
   BootstrapWorkspace(const Engine& eng, const GadgetParams& g)
       : ep(eng, g),
         bundle(make_bundle_storage(eng, g)),
-        acc(eng.ring_n()),
         tmp(eng.ring_n()),
         testv(eng.ring_n()),
         testv_rot(eng.ring_n()) {}
@@ -93,23 +87,6 @@ void blind_rotate_init(const Engine& eng, const LweSample& x,
   acc.b = testv_rot;
 }
 
-/// One classic-CMux step: tmp = (X^{barai} - 1) * ACC; ACC += BK_i (x) tmp.
-/// Shared by the sequential and batched drivers (callers skip barai == 0).
-template <class Engine>
-void classic_rotate_step(const Engine& eng,
-                         const DeviceBootstrapKey<Engine>& key, int i,
-                         int barai, TLweSample& acc,
-                         BootstrapWorkspace<Engine>& ws, BlindRotateState& st) {
-  multiply_by_xpower_minus_one(ws.tmp.a, acc.a, barai);
-  multiply_by_xpower_minus_one(ws.tmp.b, acc.b, barai);
-  // On the first active step acc.a == 0, so tmp.a = (X^c - 1) * 0 == 0 and
-  // the external product's a-half is skipped.
-  external_product(eng, key.gadget, key.groups[i][0], ws.tmp, ws.ep,
-                   /*a_is_zero=*/st.pristine);
-  acc += ws.tmp;
-  st.pristine = false;
-}
-
 /// The fused-path test-vector cache, iff the rotation starts from the
 /// workspace's own constant gate test vector (and the cached constants
 /// agree with its last fill).
@@ -122,53 +99,22 @@ GateTestvSpectra* gate_testv_cache(BootstrapWorkspace<Engine>& ws,
   return usable ? &ws.testv_spec : nullptr;
 }
 
-/// ACC <- X^{-b + sum a_i s_i} * (0, testv), evaluated homomorphically.
-template <class Engine>
-void blind_rotate(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-                  const LweSample& x, const TorusPolynomial& testv,
-                  BootstrapWorkspace<Engine>& ws,
-                  BlindRotateMode mode = BlindRotateMode::kBundle) {
-  const int n_ring = eng.ring_n();
-  BlindRotateState st;
-  blind_rotate_init(eng, x, testv, ws.testv_rot, ws.acc, st);
-
-  if (mode == BlindRotateMode::kClassicCMux) {
-    // The TFHE library's loop; identical math to a 1-wide bundle but keeps
-    // the identity path exact (no decomposition error when a_i == 0).
-    for (int i = 0; i < key.n_lwe; ++i) {
-      const int barai = mod_switch_to_2n(x.a[i], n_ring);
-      if (barai == 0) continue;
-      classic_rotate_step(eng, key, i, barai, ws.acc, ws, st);
-    }
-    return;
-  }
-
-  GateTestvSpectra* tc = gate_testv_cache(ws, testv);
-  for (int g = 0; g < key.num_groups(); ++g) {
-    const int mg = key.members(g);
-    group_subset_exponents(x.a.data() + g * key.unroll_m, mg, n_ring,
-                           ws.exponents);
-    bundle_rotate_step(eng, key, g, ws.exponents, ws.acc, ws.bundle, ws.ep,
-                       st, tc);
-  }
-}
-
-/// Batched blind rotation, group-major: the outer loop walks the n/m key
-/// groups, the inner loop walks samples, so each group's spectral TGSW
-/// members stream from DRAM once per batch and stay cache-hot for all B
-/// bundle steps -- the key_switch_batch amortization applied to the
-/// bootstrapping key. Per-sample accumulators land in ws.batch_acc[0..B).
-/// Bit-identity contract: sample b runs exactly the same step sequence
-/// (blind_rotate_init + per-group/per-index steps on the same workspace
-/// scratch, which every step fully overwrites) as the sequential
-/// blind_rotate, so results are bit-identical at every batch size.
+/// Batched blind rotation, group-major: ACC_b <- X^{-b + sum a_i s_i} *
+/// (0, testv) for every sample b, landing in ws.batch_acc[0..B). The outer
+/// loop walks the n/m key groups, the inner loop walks samples, so each
+/// group's spectral TGSW members stream from DRAM once per batch and stay
+/// cache-hot for all B bundle steps -- the key_switch_batch amortization
+/// applied to the bootstrapping key. Bit-identity contract: sample b runs
+/// exactly the same step sequence (blind_rotate_init + one
+/// bundle_rotate_step per group on workspace scratch that every step fully
+/// overwrites) whatever the batch size, so a batch of B is bit-identical to
+/// B batches of one.
 template <class Engine>
 void blind_rotate_batch(const Engine& eng,
                         const DeviceBootstrapKey<Engine>& key,
                         const LweSample* const* xs, int batch,
                         const TorusPolynomial& testv,
-                        BootstrapWorkspace<Engine>& ws,
-                        BlindRotateMode mode = BlindRotateMode::kBundle) {
+                        BootstrapWorkspace<Engine>& ws) {
   const int n_ring = eng.ring_n();
   ws.ensure_batch(n_ring, batch);
   for (int b = 0; b < batch; ++b) {
@@ -176,21 +122,6 @@ void blind_rotate_batch(const Engine& eng,
                       ws.batch_acc[static_cast<size_t>(b)],
                       ws.batch_st[static_cast<size_t>(b)]);
   }
-
-  if (mode == BlindRotateMode::kClassicCMux) {
-    // Group-major over the n_lwe single-bit "groups" of the classic chain.
-    for (int i = 0; i < key.n_lwe; ++i) {
-      for (int b = 0; b < batch; ++b) {
-        const int barai = mod_switch_to_2n(xs[b]->a[i], n_ring);
-        if (barai == 0) continue;
-        classic_rotate_step(eng, key, i, barai,
-                            ws.batch_acc[static_cast<size_t>(b)], ws,
-                            ws.batch_st[static_cast<size_t>(b)]);
-      }
-    }
-    return;
-  }
-
   GateTestvSpectra* tc = gate_testv_cache(ws, testv);
   for (int g = 0; g < key.num_groups(); ++g) {
     const int mg = key.members(g);
@@ -204,97 +135,97 @@ void blind_rotate_batch(const Engine& eng,
   }
 }
 
-/// Bootstrap without the final key switch, in place: `out` receives an N-LWE
-/// sample under the extracted ring key whose phase is +-mu depending on
-/// sign(phase(x)). out may alias x. Allocation-free once out and the
-/// workspace are at capacity.
+/// The bootstrap primitive under every gate lowering: one group-major blind
+/// rotation of B samples against `testv`, then n_out sample extractions per
+/// sample and no key switch. Output j of sample b is an N-LWE sample under
+/// the extracted ring key and lands in outs[j * batch + b]; offsets[j] is the
+/// ring coefficient it reads (0 for a gate or single-output LUT; slot_shift *
+/// N / slots for a multi-output LUT's extra outputs, see tfhe/lut.h).
+/// Extraction starts after every rotation has consumed its input, so outs
+/// may alias xs.
 template <class Engine>
-void bootstrap_wo_keyswitch_into(const Engine& eng,
-                                 const DeviceBootstrapKey<Engine>& key,
-                                 Torus32 mu, const LweSample& x,
-                                 BootstrapWorkspace<Engine>& ws, LweSample& out,
-                                 BlindRotateMode mode = BlindRotateMode::kBundle) {
-  set_gate_testv(ws, mu, key.gadget);
-  blind_rotate(eng, key, x, ws.testv, ws, mode);
-  sample_extract_into(ws.acc, out);
+void rotate_extract_batch(const Engine& eng,
+                          const DeviceBootstrapKey<Engine>& key,
+                          const TorusPolynomial& testv,
+                          const LweSample* const* xs, LweSample* const* outs,
+                          const int* offsets, int n_out, int batch,
+                          BootstrapWorkspace<Engine>& ws) {
+  blind_rotate_batch(eng, key, xs, batch, testv, ws);
+  for (int b = 0; b < batch; ++b) {
+    const TLweSample& acc = ws.batch_acc[static_cast<size_t>(b)];
+    for (int j = 0; j < n_out; ++j) {
+      sample_extract_at(acc, offsets[j], *outs[j * batch + b]);
+    }
+  }
 }
 
-/// Batched gate bootstrap without the key switch: group-major blind rotation
-/// of all B samples, then B sample extractions. outs[b] may alias xs[b]
-/// (extraction happens after every rotation has consumed its input).
+/// Batched gate bootstrap without the key switch: rotate_extract_batch with
+/// the cached constant test vector (+-mu by sign(phase(x))) and one output
+/// at offset 0. outs[b] may alias xs[b].
 template <class Engine>
 void bootstrap_wo_keyswitch_batch(const Engine& eng,
                                   const DeviceBootstrapKey<Engine>& key,
                                   Torus32 mu, const LweSample* const* xs,
                                   LweSample* const* outs, int batch,
-                                  BootstrapWorkspace<Engine>& ws,
-                                  BlindRotateMode mode = BlindRotateMode::kBundle) {
+                                  BootstrapWorkspace<Engine>& ws) {
   set_gate_testv(ws, mu, key.gadget);
-  blind_rotate_batch(eng, key, xs, batch, ws.testv, ws, mode);
-  for (int b = 0; b < batch; ++b) {
-    sample_extract_into(ws.batch_acc[static_cast<size_t>(b)], *outs[b]);
-  }
+  const int offset = 0;
+  rotate_extract_batch(eng, key, ws.testv, xs, outs, &offset, 1, batch, ws);
 }
 
-/// By-value convenience wrapper around bootstrap_wo_keyswitch_into.
-template <class Engine>
-LweSample bootstrap_wo_keyswitch(const Engine& eng,
-                                 const DeviceBootstrapKey<Engine>& key,
-                                 Torus32 mu, const LweSample& x,
-                                 BootstrapWorkspace<Engine>& ws,
-                                 BlindRotateMode mode = BlindRotateMode::kBundle) {
-  LweSample out;
-  bootstrap_wo_keyswitch_into(eng, key, mu, x, ws, out, mode);
-  return out;
-}
-
-/// Full gate bootstrap in place: blind rotate, extract (into the workspace
-/// scratch), key switch back to n-LWE in `out`. out may alias x.
-template <class Engine>
-void bootstrap_into(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-                    const KeySwitchKey& ks, Torus32 mu, const LweSample& x,
-                    BootstrapWorkspace<Engine>& ws, LweSample& out,
-                    BlindRotateMode mode = BlindRotateMode::kBundle) {
-  bootstrap_wo_keyswitch_into(eng, key, mu, x, ws, ws.extracted, mode);
-  key_switch_into(ks, ws.extracted, out);
-}
-
-/// Full gate bootstrap: blind rotate, extract, key switch back to n-LWE.
-template <class Engine>
-LweSample bootstrap(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-                    const KeySwitchKey& ks, Torus32 mu, const LweSample& x,
-                    BootstrapWorkspace<Engine>& ws,
-                    BlindRotateMode mode = BlindRotateMode::kBundle) {
-  LweSample out;
-  bootstrap_into(eng, key, ks, mu, x, ws, out, mode);
-  return out;
-}
-
-/// Batched full gate bootstrap: group-major blind rotation of all B samples,
-/// B sample extractions into the workspace arena, then ONE batched key
-/// switch (the keyswitch key streams once for the whole batch). outs[b] may
-/// alias xs[b]. Bit-identical to B sequential bootstrap_into calls.
+/// Batched full gate bootstrap: the gate bootstrap above into the
+/// workspace's N-LWE staging, then ONE batched key switch back to n-LWE (the
+/// keyswitch key streams once for the whole batch). outs[b] may alias xs[b].
 template <class Engine>
 void bootstrap_batch(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
                      const KeySwitchKey& ks, Torus32 mu,
                      const LweSample* const* xs, LweSample* const* outs,
                      int batch, BootstrapWorkspace<Engine>& ws,
-                     KeySwitchWorkspace& ks_ws,
-                     BlindRotateMode mode = BlindRotateMode::kBundle) {
-  set_gate_testv(ws, mu, key.gadget);
-  blind_rotate_batch(eng, key, xs, batch, ws.testv, ws, mode);
+                     KeySwitchWorkspace& ks_ws) {
   const size_t nb = static_cast<size_t>(batch);
   if (ws.batch_u.size() < nb) ws.batch_u.resize(nb);
-  ws.batch_ks_in.resize(nb);
-  ws.batch_ks_out.resize(nb);
-  for (int b = 0; b < batch; ++b) {
-    const size_t i = static_cast<size_t>(b);
-    sample_extract_into(ws.batch_acc[i], ws.batch_u[i]);
-    ws.batch_ks_in[i] = &ws.batch_u[i];
-    ws.batch_ks_out[i] = outs[b];
+  ws.batch_u_ptr.resize(nb);
+  for (size_t i = 0; i < nb; ++i) ws.batch_u_ptr[i] = &ws.batch_u[i];
+  bootstrap_wo_keyswitch_batch(eng, key, mu, xs, ws.batch_u_ptr.data(), batch,
+                               ws);
+  key_switch_batch(ks, ws.batch_u_ptr.data(), outs, batch, ks_ws);
+}
+
+/// The TFHE library's gate bootstrap without the key switch, kept as the
+/// sequential CPU reference (Fig. 1, Table 1): one CMux per secret bit,
+/// ACC += BK_i (x) ((X^{a_i} - 1) ACC), skipping a_i == 0 so the identity
+/// path stays exact (no decomposition error). It needs one TGSW per secret
+/// bit, i.e. an m == 1 key, and throws std::invalid_argument otherwise.
+/// out may alias x.
+template <class Engine>
+void classic_bootstrap_wo_keyswitch_into(const Engine& eng,
+                                         const DeviceBootstrapKey<Engine>& key,
+                                         Torus32 mu, const LweSample& x,
+                                         BootstrapWorkspace<Engine>& ws,
+                                         LweSample& out) {
+  if (key.unroll_m != 1) {
+    throw std::invalid_argument(
+        "classic CMux bootstrap needs an m = 1 key (one TGSW per secret bit)");
   }
-  key_switch_batch(ks, ws.batch_ks_in.data(), ws.batch_ks_out.data(), batch,
-                   ks_ws);
+  const int n_ring = eng.ring_n();
+  set_gate_testv(ws, mu, key.gadget);
+  ws.ensure_batch(n_ring, 1);
+  TLweSample& acc = ws.batch_acc.front();
+  BlindRotateState& st = ws.batch_st.front();
+  blind_rotate_init(eng, x, ws.testv, ws.testv_rot, acc, st);
+  for (int i = 0; i < key.n_lwe; ++i) {
+    const int barai = mod_switch_to_2n(x.a[i], n_ring);
+    if (barai == 0) continue;
+    multiply_by_xpower_minus_one(ws.tmp.a, acc.a, barai);
+    multiply_by_xpower_minus_one(ws.tmp.b, acc.b, barai);
+    // On the first active step acc.a == 0, so tmp.a = (X^c - 1) * 0 == 0 and
+    // the external product's a-half is skipped.
+    external_product(eng, key.gadget, key.groups[i][0], ws.tmp, ws.ep,
+                     /*a_is_zero=*/st.pristine);
+    acc += ws.tmp;
+    st.pristine = false;
+  }
+  sample_extract_into(acc, out);
 }
 
 } // namespace matcha

@@ -51,14 +51,14 @@ DecodeAudit decrypt_message_audited(const LweKey& key, const LweSample& c,
 template LweSample functional_bootstrap<DoubleFftEngine>(
     const DoubleFftEngine&, const DeviceBootstrapKey<DoubleFftEngine>&,
     const KeySwitchKey&, const TorusPolynomial&, const LweSample&,
-    BootstrapWorkspace<DoubleFftEngine>&, BlindRotateMode);
+    BootstrapWorkspace<DoubleFftEngine>&);
 template LweSample functional_bootstrap<LiftFftEngine>(
     const LiftFftEngine&, const DeviceBootstrapKey<LiftFftEngine>&,
     const KeySwitchKey&, const TorusPolynomial&, const LweSample&,
-    BootstrapWorkspace<LiftFftEngine>&, BlindRotateMode);
+    BootstrapWorkspace<LiftFftEngine>&);
 template LweSample functional_bootstrap<SimdFftEngine>(
     const SimdFftEngine&, const DeviceBootstrapKey<SimdFftEngine>&,
     const KeySwitchKey&, const TorusPolynomial&, const LweSample&,
-    BootstrapWorkspace<SimdFftEngine>&, BlindRotateMode);
+    BootstrapWorkspace<SimdFftEngine>&);
 
 } // namespace matcha

@@ -91,83 +91,22 @@ inline DecodeAudit decode_bit_audited(
 /// result chainable).
 TorusPolynomial make_lut_testvector(int n_ring, std::span<const Torus32> values);
 
-/// Bootstrap x through the LUT, in place: `out` receives LWE(f(m)) with
-/// fresh noise, under the gate key (key switch included). out may alias x.
-template <class Engine>
-void functional_bootstrap_into(const Engine& eng,
-                               const DeviceBootstrapKey<Engine>& key,
-                               const KeySwitchKey& ks,
-                               const TorusPolynomial& testv, const LweSample& x,
-                               BootstrapWorkspace<Engine>& ws, LweSample& out,
-                               BlindRotateMode mode = BlindRotateMode::kBundle) {
-  blind_rotate(eng, key, x, testv, ws, mode);
-  sample_extract_into(ws.acc, ws.extracted);
-  key_switch_into(ks, ws.extracted, out);
-}
-
-/// Like functional_bootstrap_into but stopping before the key switch: `out`
-/// receives the N-LWE sample under the extracted ring key (the batch
-/// executor defers the key switch to a batched flush).
-template <class Engine>
-void functional_bootstrap_wo_keyswitch_into(
-    const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-    const TorusPolynomial& testv, const LweSample& x,
-    BootstrapWorkspace<Engine>& ws, LweSample& out,
-    BlindRotateMode mode = BlindRotateMode::kBundle) {
-  blind_rotate(eng, key, x, testv, ws, mode);
-  sample_extract_into(ws.acc, out);
-}
-
-/// Batched functional bootstrap without the key switch: one group-major
-/// blind rotation over all B samples against a shared test vector, then B
-/// sample extractions. Bit-identical to B sequential
-/// functional_bootstrap_wo_keyswitch_into calls; outs[b] may alias xs[b].
-template <class Engine>
-void functional_bootstrap_wo_keyswitch_batch(
-    const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-    const TorusPolynomial& testv, const LweSample* const* xs,
-    LweSample* const* outs, int batch, BootstrapWorkspace<Engine>& ws,
-    BlindRotateMode mode = BlindRotateMode::kBundle) {
-  blind_rotate_batch(eng, key, xs, batch, testv, ws, mode);
-  for (int b = 0; b < batch; ++b) {
-    sample_extract_into(ws.batch_acc[static_cast<size_t>(b)], *outs[b]);
-  }
-}
-
-/// Multi-output batched functional bootstrap: one blind rotation per sample,
-/// n_out sample extractions each. Output j of sample b lands in
-/// outs[j * batch + b]; coeff_offsets[j] is the ring coefficient to extract
-/// (slot_shift * N / slots, see tfhe/lut.h -- offset 0 is the primary
-/// output, identical to the single-output path). Extractions may not alias
-/// xs (the accumulator is read n_out times).
-template <class Engine>
-void functional_bootstrap_multi_wo_keyswitch_batch(
-    const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-    const TorusPolynomial& testv, const LweSample* const* xs,
-    LweSample* const* outs, const int* coeff_offsets, int n_out, int batch,
-    BootstrapWorkspace<Engine>& ws,
-    BlindRotateMode mode = BlindRotateMode::kBundle) {
-  blind_rotate_batch(eng, key, xs, batch, testv, ws, mode);
-  for (int b = 0; b < batch; ++b) {
-    const TLweSample& acc = ws.batch_acc[static_cast<size_t>(b)];
-    for (int j = 0; j < n_out; ++j) {
-      sample_extract_at(acc, coeff_offsets[j],
-                        *outs[j * batch + b]);
-    }
-  }
-}
-
-/// By-value convenience wrapper around functional_bootstrap_into.
+/// Bootstrap x through the LUT: LWE(f(m)) with fresh noise, under the gate
+/// key (key switch included). A by-value batch of one through
+/// rotate_extract_batch (tfhe/bootstrap.h), for examples and tests.
 template <class Engine>
 LweSample functional_bootstrap(const Engine& eng,
                                const DeviceBootstrapKey<Engine>& key,
                                const KeySwitchKey& ks,
                                const TorusPolynomial& testv,
                                const LweSample& x,
-                               BootstrapWorkspace<Engine>& ws,
-                               BlindRotateMode mode = BlindRotateMode::kBundle) {
-  LweSample out;
-  functional_bootstrap_into(eng, key, ks, testv, x, ws, out, mode);
+                               BootstrapWorkspace<Engine>& ws) {
+  LweSample u, out;
+  const LweSample* in = &x;
+  LweSample* up = &u;
+  const int offset = 0;
+  rotate_extract_batch(eng, key, testv, &in, &up, &offset, 1, 1, ws);
+  key_switch_into(ks, u, out);
   return out;
 }
 

@@ -16,6 +16,13 @@
 
 namespace matcha {
 
+/// How GateEvaluator runs the blind rotation. Every other caller (the batch
+/// executor, the functional bootstrap) runs the bundle datapath only.
+enum class BlindRotateMode {
+  kBundle,      ///< spectral BKB construction + one EP per group (MATCHA)
+  kClassicCMux, ///< sequential TFHE-library CMux chain; m == 1 keys only
+};
+
 /// Cumulative per-kind latency decomposition (nanoseconds).
 struct GateBreakdown {
   int64_t gates = 0;
@@ -81,8 +88,9 @@ class GateEvaluator {
     bd.total_ns += dt;
     return r;
   }
-  /// MUX(sel, c1, c0) = sel ? c1 : c0 -- two bootstraps + one key switch
-  /// (the TFHE library's construction).
+  /// MUX(sel, c1, c0) = sel ? c1 : c0 -- two bootstraps (one batch-of-2
+  /// flush) + one key switch, the TFHE library's construction
+  /// (tfhe/gate_ops.h).
   LweSample gate_mux(const LweSample& sel, const LweSample& c1, const LweSample& c0);
 
   const GateBreakdown& breakdown(GateKind kind) const {
@@ -100,7 +108,17 @@ class GateEvaluator {
         .count();
   }
 
-  LweSample trivial(Torus32 mu) const { return LweSample::trivial(bk_.n_lwe, mu); }
+  /// Gate-bootstrap xs[0..n) into N-LWE samples us[0..n), key switch
+  /// deferred: one batch flush, or the sequential classic-CMux reference.
+  void rotate(const LweSample* const* xs, LweSample* const* us, int n) {
+    if (mode_ == BlindRotateMode::kBundle) {
+      bootstrap_wo_keyswitch_batch(eng_, bk_, mu_, xs, us, n, ws_);
+      return;
+    }
+    for (int k = 0; k < n; ++k) {
+      classic_bootstrap_wo_keyswitch_into(eng_, bk_, mu_, *xs[k], ws_, *us[k]);
+    }
+  }
 
   LweSample binary_gate(GateKind kind, LweSample combo, int64_t linear_ns) {
     auto& bd = breakdown_[static_cast<int>(kind)];
@@ -110,7 +128,10 @@ class GateEvaluator {
     const int64_t to0 = ctr.to_spectral_ns;
     const int64_t from0 = ctr.from_spectral_ns;
     const auto t0 = clock_now();
-    bootstrap_into(eng_, bk_, ks_, mu_, combo, ws_, combo, mode_);
+    const LweSample* in = &combo;
+    LweSample* u = &u_[0];
+    rotate(&in, &u, 1);
+    key_switch_into(ks_, u_[0], combo);
     const int64_t boot = ns_since(t0);
     const int64_t ifft = ctr.to_spectral_ns - to0;
     const int64_t fft = ctr.from_spectral_ns - from0;
@@ -127,6 +148,8 @@ class GateEvaluator {
   Torus32 mu_;
   BlindRotateMode mode_;
   BootstrapWorkspace<Engine> ws_;
+  /// Staged branch combos (MUX) and the N-LWE rotations they feed.
+  std::array<LweSample, 2> in_, u_;
   std::array<GateBreakdown, 8> breakdown_{};
 };
 
@@ -140,7 +163,13 @@ LweSample GateEvaluator<Engine>::gate_mux(const LweSample& sel,
   const int64_t to0 = ctr.to_spectral_ns;
   const int64_t from0 = ctr.from_spectral_ns;
   const auto t0 = clock_now();
-  LweSample out = mux_gate_eval(eng_, bk_, ks_, mu_, sel, c1, c0, ws_, mode_);
+  mux_branch_inputs(sel, c1, c0, mu_, bk_.n_lwe, in_[0], in_[1]);
+  const std::array<const LweSample*, 2> ins{&in_[0], &in_[1]};
+  const std::array<LweSample*, 2> us{&u_[0], &u_[1]};
+  rotate(ins.data(), us.data(), 2);
+  mux_combine(u_[0], u_[1], mu_);
+  LweSample out;
+  key_switch_into(ks_, u_[0], out);
   const int64_t total = ns_since(t0);
   const int64_t ifft = ctr.to_spectral_ns - to0;
   const int64_t fft = ctr.from_spectral_ns - from0;

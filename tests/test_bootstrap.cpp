@@ -7,18 +7,22 @@
 namespace matcha {
 namespace {
 
+using test::classic_gate_bootstrap;
+using test::gate_bootstrap;
 using test::shared_keys;
 
 // Bootstrap maps phase in (0, 1/2) -> +mu and (-1/2, 0) -> -mu.
 template <class Engine>
 int bootstrapped_sign(const Engine& eng, const DeviceBootstrapKey<Engine>& bk,
                       const KeySwitchKey& ks, double phase_in, Rng& rng,
-                      BlindRotateMode mode) {
+                      bool classic = false) {
   const auto& K = shared_keys();
   const LweSample in = lwe_encrypt(K.sk.lwe, double_to_torus32(phase_in),
                                    K.params.lwe.sigma, rng);
   BootstrapWorkspace<Engine> ws(eng, K.params.gadget);
-  const LweSample out = bootstrap(eng, bk, ks, K.params.mu(), in, ws, mode);
+  const LweSample out =
+      classic ? classic_gate_bootstrap(eng, bk, ks, K.params.mu(), in, ws)
+              : gate_bootstrap(eng, bk, ks, K.params.mu(), in, ws);
   return lwe_decrypt_bit(K.sk.lwe, out);
 }
 
@@ -29,9 +33,7 @@ TEST_P(SignSweep, BundleDoubleM1) {
   Rng rng = test::test_rng(1);
   const auto bk = load_bootstrap_key(K.deng, K.ck1.bk);
   const double ph = GetParam();
-  EXPECT_EQ(bootstrapped_sign(K.deng, bk, K.ck1.ks, ph, rng,
-                              BlindRotateMode::kBundle),
-            ph > 0 ? 1 : 0)
+  EXPECT_EQ(bootstrapped_sign(K.deng, bk, K.ck1.ks, ph, rng), ph > 0 ? 1 : 0)
       << ph;
 }
 
@@ -40,8 +42,7 @@ TEST_P(SignSweep, ClassicDoubleM1) {
   Rng rng = test::test_rng(2);
   const auto bk = load_bootstrap_key(K.deng, K.ck1.bk);
   const double ph = GetParam();
-  EXPECT_EQ(bootstrapped_sign(K.deng, bk, K.ck1.ks, ph, rng,
-                              BlindRotateMode::kClassicCMux),
+  EXPECT_EQ(bootstrapped_sign(K.deng, bk, K.ck1.ks, ph, rng, /*classic=*/true),
             ph > 0 ? 1 : 0)
       << ph;
 }
@@ -51,9 +52,7 @@ TEST_P(SignSweep, BundleDoubleM2) {
   Rng rng = test::test_rng(3);
   const auto bk = load_bootstrap_key(K.deng, K.ck2.bk);
   const double ph = GetParam();
-  EXPECT_EQ(bootstrapped_sign(K.deng, bk, K.ck2.ks, ph, rng,
-                              BlindRotateMode::kBundle),
-            ph > 0 ? 1 : 0)
+  EXPECT_EQ(bootstrapped_sign(K.deng, bk, K.ck2.ks, ph, rng), ph > 0 ? 1 : 0)
       << ph;
 }
 
@@ -62,9 +61,7 @@ TEST_P(SignSweep, BundleLift40M3) {
   Rng rng = test::test_rng(4);
   const auto bk = load_bootstrap_key(K.leng, K.ck3.bk);
   const double ph = GetParam();
-  EXPECT_EQ(bootstrapped_sign(K.leng, bk, K.ck3.ks, ph, rng,
-                              BlindRotateMode::kBundle),
-            ph > 0 ? 1 : 0)
+  EXPECT_EQ(bootstrapped_sign(K.leng, bk, K.ck3.ks, ph, rng), ph > 0 ? 1 : 0)
       << ph;
 }
 
@@ -83,7 +80,7 @@ TEST(Bootstrap, OutputNoiseSmall) {
     const LweSample in = lwe_encrypt(K.sk.lwe, torus_fraction(1, 8),
                                      K.params.lwe.sigma, rng);
     const LweSample out =
-        bootstrap(K.deng, bk, K.ck1.ks, K.params.mu(), in, ws);
+        gate_bootstrap(K.deng, bk, K.ck1.ks, K.params.mu(), in, ws);
     const double err = torus_distance(lwe_phase(K.sk.lwe, out), K.params.mu());
     max_err = std::max(max_err, err);
   }
@@ -99,7 +96,8 @@ TEST(Bootstrap, ResetsAccumulatedNoise) {
   BootstrapWorkspace<DoubleFftEngine> ws(K.deng, K.params.gadget);
   const LweSample in =
       lwe_encrypt(K.sk.lwe, torus_fraction(1, 8), 0.02, rng); // huge noise
-  const LweSample out = bootstrap(K.deng, bk, K.ck1.ks, K.params.mu(), in, ws);
+  const LweSample out =
+      gate_bootstrap(K.deng, bk, K.ck1.ks, K.params.mu(), in, ws);
   EXPECT_LT(torus_distance(lwe_phase(K.sk.lwe, out), K.params.mu()), 0.02);
 }
 
@@ -110,8 +108,10 @@ TEST(Bootstrap, WoKeySwitchOutputUnderExtractedKey) {
   BootstrapWorkspace<DoubleFftEngine> ws(K.deng, K.params.gadget);
   const LweSample in = lwe_encrypt(K.sk.lwe, torus_fraction(1, 8),
                                    K.params.lwe.sigma, rng);
-  const LweSample u =
-      bootstrap_wo_keyswitch(K.deng, bk, K.params.mu(), in, ws);
+  LweSample u;
+  const LweSample* in_p = &in;
+  LweSample* u_p = &u;
+  bootstrap_wo_keyswitch_batch(K.deng, bk, K.params.mu(), &in_p, &u_p, 1, ws);
   EXPECT_EQ(u.n(), K.params.ring.n_ring);
   EXPECT_LT(torus_distance(lwe_phase(K.sk.extracted, u), K.params.mu()),
             1.0 / 16);
@@ -127,10 +127,10 @@ TEST(Bootstrap, ClassicAndBundleAgreeOnDecryption) {
     if (std::abs(ph) < 0.02) continue;
     const LweSample in =
         lwe_encrypt(K.sk.lwe, double_to_torus32(ph), K.params.lwe.sigma, rng);
-    const LweSample o1 = bootstrap(K.deng, bk, K.ck1.ks, K.params.mu(), in, ws,
-                                   BlindRotateMode::kClassicCMux);
-    const LweSample o2 = bootstrap(K.deng, bk, K.ck1.ks, K.params.mu(), in, ws,
-                                   BlindRotateMode::kBundle);
+    const LweSample o1 =
+        classic_gate_bootstrap(K.deng, bk, K.ck1.ks, K.params.mu(), in, ws);
+    const LweSample o2 =
+        gate_bootstrap(K.deng, bk, K.ck1.ks, K.params.mu(), in, ws);
     EXPECT_EQ(lwe_decrypt_bit(K.sk.lwe, o1), lwe_decrypt_bit(K.sk.lwe, o2))
         << ph;
   }
@@ -149,11 +149,11 @@ TEST(Bootstrap, UnrollFactorsAgreeOnDecryption) {
     const LweSample in =
         lwe_encrypt(K.sk.lwe, double_to_torus32(ph), K.params.lwe.sigma, rng);
     const int b1 = lwe_decrypt_bit(
-        K.sk.lwe, bootstrap(K.deng, bk1, K.ck1.ks, K.params.mu(), in, ws));
+        K.sk.lwe, gate_bootstrap(K.deng, bk1, K.ck1.ks, K.params.mu(), in, ws));
     const int b2 = lwe_decrypt_bit(
-        K.sk.lwe, bootstrap(K.deng, bk2, K.ck2.ks, K.params.mu(), in, ws));
+        K.sk.lwe, gate_bootstrap(K.deng, bk2, K.ck2.ks, K.params.mu(), in, ws));
     const int b3 = lwe_decrypt_bit(
-        K.sk.lwe, bootstrap(K.deng, bk3, K.ck3.ks, K.params.mu(), in, ws));
+        K.sk.lwe, gate_bootstrap(K.deng, bk3, K.ck3.ks, K.params.mu(), in, ws));
     EXPECT_EQ(b1, b2) << ph;
     EXPECT_EQ(b1, b3) << ph;
   }
@@ -168,7 +168,7 @@ TEST(Bootstrap, KernelCountsMatchPaperAccounting) {
   K.deng.counters().reset();
   const LweSample in = lwe_encrypt(K.sk.lwe, torus_fraction(1, 8),
                                    K.params.lwe.sigma, rng);
-  (void)bootstrap(K.deng, bk, K.ck2.ks, K.params.mu(), in, ws);
+  (void)gate_bootstrap(K.deng, bk, K.ck2.ks, K.params.mu(), in, ws);
   const auto& c = K.deng.counters();
   const int groups = K.ck2.bk.num_groups();
   const int l = K.params.gadget.l;

@@ -1,9 +1,8 @@
 // Batched blind rotation: group-major BSK streaming must be bit-for-bit
-// identical to the sequential path at every batch size, on every engine,
-// in every mode -- the whole point of sharing the per-sample step functions
-// between blind_rotate and blind_rotate_batch. Also covers the batched
-// functional bootstrap and the BatchExecutor's per-wavefront bootstrap
-// flush across thread counts.
+// identical to a batch of one at every batch size, on every engine -- the
+// whole point of running every sample through the same per-(group, sample)
+// bundle step. Also covers the batched functional bootstrap and the
+// BatchExecutor's per-wavefront bootstrap flush across thread counts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -55,13 +54,12 @@ std::vector<LweSample> make_inputs(int count, uint64_t seed) {
   return xs;
 }
 
-/// bootstrap_batch vs per-sample bootstrap_into, bitwise, on one engine /
-/// cloud keyset / mode / batch size. Two independent workspaces so neither
-/// path can lean on the other's cached state.
+/// bootstrap_batch vs per-sample batches of one, bitwise, on one engine /
+/// cloud keyset / batch size. Two independent workspaces so neither path can
+/// lean on the other's cached state.
 template <class Engine>
 void expect_batch_matches_sequential(const Engine& eng, const CloudKeyset& ck,
-                                     BlindRotateMode mode, int batch,
-                                     uint64_t seed) {
+                                     int batch, uint64_t seed) {
   const auto& K = shared_keys();
   const auto bk = load_bootstrap_key(eng, ck.bk);
   BootstrapWorkspace<Engine> ws_seq(eng, K.params.gadget);
@@ -71,8 +69,8 @@ void expect_batch_matches_sequential(const Engine& eng, const CloudKeyset& ck,
   const std::vector<LweSample> xs = make_inputs(batch, seed);
   std::vector<LweSample> want(static_cast<size_t>(batch));
   for (int b = 0; b < batch; ++b) {
-    bootstrap_into(eng, bk, ck.ks, K.params.mu(), xs[static_cast<size_t>(b)],
-                   ws_seq, want[static_cast<size_t>(b)], mode);
+    want[static_cast<size_t>(b)] = test::gate_bootstrap(
+        eng, bk, ck.ks, K.params.mu(), xs[static_cast<size_t>(b)], ws_seq);
   }
 
   std::vector<LweSample> got(static_cast<size_t>(batch));
@@ -83,7 +81,7 @@ void expect_batch_matches_sequential(const Engine& eng, const CloudKeyset& ck,
     out_ptrs[static_cast<size_t>(b)] = &got[static_cast<size_t>(b)];
   }
   bootstrap_batch(eng, bk, ck.ks, K.params.mu(), in_ptrs.data(),
-                  out_ptrs.data(), batch, ws_bat, ks_ws, mode);
+                  out_ptrs.data(), batch, ws_bat, ks_ws);
 
   for (int b = 0; b < batch; ++b) {
     ASSERT_TRUE(same_sample(want[static_cast<size_t>(b)],
@@ -98,22 +96,11 @@ void expect_batch_matches_sequential(const Engine& eng, const CloudKeyset& ck,
 TEST(BootstrapBatch, DoubleEngineBundleAllUnrolls) {
   const auto& K = shared_keys();
   for (const int batch : {1, 2, 7, 32}) {
-    expect_batch_matches_sequential(K.deng, K.ck1, BlindRotateMode::kBundle,
-                                    batch, 11);
+    expect_batch_matches_sequential(K.deng, K.ck1, batch, 11);
     if (batch <= 7) { // keep the m sweep off the largest batch for runtime
-      expect_batch_matches_sequential(K.deng, K.ck2, BlindRotateMode::kBundle,
-                                      batch, 12);
-      expect_batch_matches_sequential(K.deng, K.ck3, BlindRotateMode::kBundle,
-                                      batch, 13);
+      expect_batch_matches_sequential(K.deng, K.ck2, batch, 12);
+      expect_batch_matches_sequential(K.deng, K.ck3, batch, 13);
     }
-  }
-}
-
-TEST(BootstrapBatch, DoubleEngineClassicCMux) {
-  const auto& K = shared_keys();
-  for (const int batch : {1, 2, 7}) {
-    expect_batch_matches_sequential(K.deng, K.ck1,
-                                    BlindRotateMode::kClassicCMux, batch, 21);
   }
 }
 
@@ -123,13 +110,9 @@ TEST(BootstrapBatch, SimdEngineAllLevels) {
   for (const SimdLevel level : testable_levels()) {
     SimdFftEngine eng(n_ring, level);
     for (const int batch : {1, 7, 32}) {
-      expect_batch_matches_sequential(eng, K.ck2, BlindRotateMode::kBundle,
-                                      batch, 31);
+      expect_batch_matches_sequential(eng, K.ck2, batch, 31);
     }
-    expect_batch_matches_sequential(eng, K.ck1, BlindRotateMode::kClassicCMux,
-                                    2, 32);
-    expect_batch_matches_sequential(eng, K.ck3, BlindRotateMode::kBundle, 2,
-                                    33);
+    expect_batch_matches_sequential(eng, K.ck3, 2, 33);
   }
 }
 
@@ -186,11 +169,12 @@ TEST(BootstrapBatch, FunctionalBatchMatchesSequential) {
     xs.push_back(encrypt_message(K.sk.lwe, b % slots, slots,
                                  K.params.lwe.sigma, rng));
   }
+  const int offset = 0;
   std::vector<LweSample> want(static_cast<size_t>(batch));
   for (int b = 0; b < batch; ++b) {
-    functional_bootstrap_wo_keyswitch_into(K.deng, bk, tv,
-                                           xs[static_cast<size_t>(b)], ws_seq,
-                                           want[static_cast<size_t>(b)]);
+    const LweSample* in = &xs[static_cast<size_t>(b)];
+    LweSample* out = &want[static_cast<size_t>(b)];
+    rotate_extract_batch(K.deng, bk, tv, &in, &out, &offset, 1, 1, ws_seq);
   }
 
   std::vector<LweSample> got(static_cast<size_t>(batch));
@@ -200,8 +184,8 @@ TEST(BootstrapBatch, FunctionalBatchMatchesSequential) {
     in_ptrs[static_cast<size_t>(b)] = &xs[static_cast<size_t>(b)];
     out_ptrs[static_cast<size_t>(b)] = &got[static_cast<size_t>(b)];
   }
-  functional_bootstrap_wo_keyswitch_batch(K.deng, bk, tv, in_ptrs.data(),
-                                          out_ptrs.data(), batch, ws_bat);
+  rotate_extract_batch(K.deng, bk, tv, in_ptrs.data(), out_ptrs.data(),
+                       &offset, 1, batch, ws_bat);
   for (int b = 0; b < batch; ++b) {
     EXPECT_TRUE(same_sample(want[static_cast<size_t>(b)],
                             got[static_cast<size_t>(b)]))

@@ -177,7 +177,8 @@ TEST(Lut, GateBootstrapIsTheConstantLutSpecialCase) {
                                    K.params.lwe.sigma, rng);
   const LweSample via_lut =
       functional_bootstrap(K.deng, bk, K.ck1.ks, tv, in, ws);
-  const LweSample via_gate = bootstrap(K.deng, bk, K.ck1.ks, K.params.mu(), in, ws);
+  const LweSample via_gate =
+      test::gate_bootstrap(K.deng, bk, K.ck1.ks, K.params.mu(), in, ws);
   EXPECT_EQ(lwe_decrypt_bit(K.sk.lwe, via_lut),
             lwe_decrypt_bit(K.sk.lwe, via_gate));
 }

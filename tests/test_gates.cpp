@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "test_util.h"
@@ -155,6 +156,19 @@ TEST(GateStats, NotGateHasNoBootstrap) {
   EXPECT_EQ(bd.fft_ns, 0);
   const auto& nand_bd = ev.breakdown(GateKind::kNand);
   EXPECT_EQ(nand_bd.gates, 0);
+}
+
+TEST(GateStats, ClassicModeRejectsUnrolledKey) {
+  // The classic CMux chain reads one TGSW per secret bit; an m = 2 key holds
+  // only ceil(n/2) groups, so the evaluator must refuse it instead of
+  // reading past the key.
+  const auto& K = shared_keys();
+  Rng rng = test::test_rng(6);
+  const auto dk = load_device_keyset(K.deng, K.ck2);
+  auto ev = dk.make_evaluator(K.deng, K.params.mu(),
+                              BlindRotateMode::kClassicCMux);
+  const LweSample a = K.sk.encrypt_bit(1, rng), b = K.sk.encrypt_bit(0, rng);
+  EXPECT_THROW((void)ev.gate_and(a, b), std::invalid_argument);
 }
 
 TEST(GateNames, AllDistinct) {

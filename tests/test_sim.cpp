@@ -514,11 +514,13 @@ TEST(GateDagSchedule, RejectsDepsOutsideTopologicalRange) {
                  std::invalid_argument);
     EXPECT_THROW(partition_gate_dag(dag, 2), std::invalid_argument);
     EXPECT_THROW(partition_gate_dag(dag, 2, opt), std::invalid_argument);
+    EXPECT_THROW((void)dag.critical_path_bootstraps(), std::invalid_argument);
   }
   // The same DAG with an in-range dep and pin is fine.
   GateDag ok = bad_dep(0);
   ok.gates[1].pin = 0;
   EXPECT_NO_THROW(partition_gate_dag(ok, 2, opt));
+  EXPECT_EQ(ok.critical_path_bootstraps(), 2);
   EXPECT_GT(schedule_gate_dag(dfg, ok, p.hw.pipelines).makespan, 0);
 }
 

@@ -30,4 +30,31 @@ inline const SharedKeys& shared_keys() {
 /// fixed seeds keep failures reproducible).
 inline Rng test_rng(uint64_t seed = 42) { return Rng(seed); }
 
+/// One full gate bootstrap (rotation, extraction, key switch) of `x`, as a
+/// batch of one through bootstrap_batch.
+template <class Engine>
+LweSample gate_bootstrap(const Engine& eng, const DeviceBootstrapKey<Engine>& bk,
+                         const KeySwitchKey& ks, Torus32 mu, const LweSample& x,
+                         BootstrapWorkspace<Engine>& ws) {
+  KeySwitchWorkspace ks_ws;
+  LweSample out;
+  const LweSample* in = &x;
+  LweSample* o = &out;
+  bootstrap_batch(eng, bk, ks, mu, &in, &o, 1, ws, ks_ws);
+  return out;
+}
+
+/// The same gate bootstrap through the sequential classic-CMux reference
+/// (m = 1 keys only).
+template <class Engine>
+LweSample classic_gate_bootstrap(const Engine& eng,
+                                 const DeviceBootstrapKey<Engine>& bk,
+                                 const KeySwitchKey& ks, Torus32 mu,
+                                 const LweSample& x,
+                                 BootstrapWorkspace<Engine>& ws) {
+  LweSample u;
+  classic_bootstrap_wo_keyswitch_into(eng, bk, mu, x, ws, u);
+  return key_switch(ks, u);
+}
+
 } // namespace matcha::test
