@@ -12,7 +12,7 @@ int main() {
 
   struct Workload {
     const char* name;
-    sim::Netlist netlist;
+    sim::GateDag dag;
   } workloads[] = {
       {"8-bit ripple adder", sim::ripple_adder_netlist(8)},
       {"32-bit ripple adder", sim::ripple_adder_netlist(32)},
@@ -26,7 +26,7 @@ int main() {
   const double cpu_gate = platform::cpu_eval(p, 2).latency_ms;
   const double gpu_gate = platform::gpu_eval(p, 4).latency_ms;
   for (auto& w : workloads) {
-    const auto r = sim::simulate_circuit(p, 3, w.netlist);
+    const auto r = sim::simulate_circuit(p, 3, w.dag);
     std::printf("%-24s %8d %8d %12.2f %12.1f %12.2f %10.2f\n", w.name, r.gates,
                 r.critical_path, r.time_ms, r.gates * cpu_gate,
                 r.gates * gpu_gate, r.effective_parallelism);

@@ -22,14 +22,14 @@ namespace matcha::exec {
 /// datapath runs the same per-bootstrap DFG whether the test vector encodes
 /// a sign or a multi-slot LUT, which is why cone fusion is a pure win there
 /// too. A multi-output LUT's secondary extractions (kLutOut) merge INTO the
-/// parent rotation's node: still one rotation, with `extractions`
-/// accumulator readouts; consumers of any output depend on the parent.
-/// kFreeOr and kNot project as zero-bootstrap wire nodes, so the chip's
-/// dependence structure sees through them at no latency; each is *pinned* to
-/// the rotation that feeds it (its first operand), so the round-2
-/// partitioner keeps these wires on their anchor's chip and never pays a
-/// transfer to move a free linear op somewhere else
-/// (sim::PartitionOptions::pin_wire_nodes).
+/// parent rotation's node: still one rotation, and consumers of any output
+/// depend on the parent (extraction is a wire-read on the chip, so it adds
+/// no schedule latency). kFreeOr and kNot project as zero-bootstrap wire
+/// nodes, so the chip's dependence structure sees through them at no
+/// latency; each is *pinned* to the rotation that feeds it (its first
+/// operand), so the round-2 partitioner keeps these wires on their anchor's
+/// chip and never pays a transfer to move a free linear op somewhere else
+/// (sim::GateDagNode::pin).
 inline sim::GateDag to_gate_dag(const GateGraph& g) {
   sim::GateDag dag;
   dag.gates.reserve(static_cast<size_t>(g.num_gates()));
@@ -39,14 +39,11 @@ inline sim::GateDag to_gate_dag(const GateGraph& g) {
     if (!n.is_gate()) continue;
     if (n.kind == GateKind::kLutOut) {
       // This wire IS the parent rotation, read at another coefficient.
-      const int parent = gate_index[n.in[0]];
-      gate_index[i] = parent;
-      if (parent >= 0) ++dag.gates[static_cast<size_t>(parent)].extractions;
+      gate_index[i] = gate_index[n.in[0]];
       continue;
     }
     sim::GateDagNode d;
     d.bootstraps = bootstrap_cost(n.kind);
-    d.extractions = d.bootstraps; // one readout per rotation (0 for NOT/FREEOR)
     if (d.bootstraps == 0 && n.fan_in() > 0) {
       d.pin = gate_index[n.in[0]]; // anchor the free wire to its producer
     }

@@ -1,6 +1,7 @@
 #include "sim/chip_sim.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -8,39 +9,40 @@
 
 namespace matcha::sim {
 
-Netlist ripple_adder_netlist(int width) {
+namespace {
+
+/// Append a one-bootstrap gate consuming `deps`; returns its index.
+int add_gate(GateDag& dag, std::vector<int> deps) {
+  dag.gates.emplace_back().deps = std::move(deps);
+  return static_cast<int>(dag.gates.size()) - 1;
+}
+
+} // namespace
+
+GateDag ripple_adder_netlist(int width) {
   // Full adder i: axb = XOR(a,b); sum = XOR(axb, cin); and1 = AND(a,b);
   // and2 = AND(cin, axb); cout = OR(and1, and2). Dependencies: sum/and2 on
   // axb and previous cout; cout on and1+and2.
-  Netlist n;
+  GateDag dag;
   int carry = -1;
   for (int i = 0; i < width; ++i) {
-    const int axb = n.size();
-    n.deps.push_back({}); // XOR(a_i, b_i): fresh inputs
-    std::vector<int> sum_deps{axb};
-    if (carry >= 0) sum_deps.push_back(carry);
-    n.deps.push_back(sum_deps); // sum_i
-    n.deps.push_back({});       // and1 = AND(a_i, b_i)
-    const int and1 = n.size() - 1;
-    std::vector<int> and2_deps{axb};
-    if (carry >= 0) and2_deps.push_back(carry);
-    n.deps.push_back(and2_deps); // and2
-    const int and2 = n.size() - 1;
-    n.deps.push_back({and1, and2}); // cout
-    carry = n.size() - 1;
+    const int axb = add_gate(dag, {}); // XOR(a_i, b_i): fresh inputs
+    std::vector<int> after_carry{axb};
+    if (carry >= 0) after_carry.push_back(carry);
+    add_gate(dag, after_carry);                  // sum_i
+    const int and1 = add_gate(dag, {});          // AND(a_i, b_i)
+    const int and2 = add_gate(dag, after_carry); // AND(cin, axb)
+    carry = add_gate(dag, {and1, and2});         // cout
   }
-  return n;
+  return dag;
 }
 
-Netlist array_multiplier_netlist(int width) {
-  Netlist n;
+GateDag array_multiplier_netlist(int width) {
+  GateDag dag;
   // AND matrix: width^2 independent gates.
   std::vector<std::vector<int>> pp(width, std::vector<int>(width));
   for (int j = 0; j < width; ++j) {
-    for (int i = 0; i < width; ++i) {
-      pp[j][i] = n.size();
-      n.deps.push_back({});
-    }
+    for (int i = 0; i < width; ++i) pp[j][i] = add_gate(dag, {});
   }
   // Row accumulation: each row adds into the accumulator with a ripple
   // chain (5 gates per bit, depending on the row's partial products and the
@@ -56,18 +58,15 @@ Netlist array_multiplier_netlist(int width) {
       if (carry >= 0) deps.push_back(carry);
       // XOR, XOR, AND, AND, OR of a full adder, collapsed to the two
       // latency-relevant gates (sum, carry) plus three parallel ones.
-      const int sum = n.size();
-      n.deps.push_back(deps);
-      n.deps.push_back(deps); // parallel AND
-      n.deps.push_back(deps); // parallel AND
-      const int carry_gate = n.size();
-      n.deps.push_back({sum, sum + 1, sum + 2});
-      n.deps.push_back({carry_gate}); // OR finalize
-      carry = n.size() - 1;
+      const int sum = add_gate(dag, deps);
+      add_gate(dag, deps); // parallel AND
+      add_gate(dag, deps); // parallel AND
+      const int carry_gate = add_gate(dag, {sum, sum + 1, sum + 2});
+      carry = add_gate(dag, {carry_gate}); // OR finalize
       prev_row[i] = sum;
     }
   }
-  return n;
+  return dag;
 }
 
 CircuitSimResult simulate_circuit(const TfheParams& tfhe, int unroll_m,
@@ -110,78 +109,7 @@ int64_t lwe_transfer_cycles(const SimParams& p) {
       (lwe_bytes + link_bytes_per_cycle - 1) / link_bytes_per_cycle);
 }
 
-MultiChipSimResult fill_multichip_result(const SimParams& p, const GateDag& dag,
-                                         int num_chips,
-                                         int64_t transfer_cycles,
-                                         int64_t gate_latency_cycles,
-                                         const GateDagPartition& part,
-                                         const MultiChipScheduleResult& s,
-                                         int64_t greedy_makespan,
-                                         const char* source) {
-  MultiChipSimResult out;
-  out.num_chips = num_chips;
-  out.gates = s.num_gates;
-  out.total_bootstraps = dag.total_bootstraps();
-  out.cut_wires = s.cut_wires;
-  out.transfers = s.transfers;
-  out.transfer_cycles = transfer_cycles;
-  out.time_ms = s.makespan / p.cycles_per_second() * 1e3;
-  out.transfer_busy_ms = s.transfer_busy_cycles / p.cycles_per_second() * 1e3;
-  out.link_utilization = s.link_utilization;
-  out.chip_occupancy = s.chip_occupancy;
-  out.chip_bootstraps = part.chip_bootstraps;
-  out.time_greedy_ms = greedy_makespan / p.cycles_per_second() * 1e3;
-  out.refine_gain =
-      greedy_makespan > 0
-          ? 1.0 - static_cast<double>(s.makespan) / greedy_makespan
-          : 0.0;
-  out.partition_source = source;
-  if (out.time_ms > 0) {
-    const double gate_latency_ms =
-        gate_latency_cycles / p.cycles_per_second() * 1e3;
-    out.effective_parallelism =
-        out.total_bootstraps * gate_latency_ms / out.time_ms;
-    out.bootstraps_per_s = out.total_bootstraps / (out.time_ms * 1e-3);
-  }
-  return out;
-}
-
 } // namespace
-
-MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
-                                              int unroll_m, const GateDag& dag,
-                                              int num_chips,
-                                              const hw::MatchaConfig& cfg) {
-  SimParams p;
-  p.hw = cfg;
-  p.tfhe = tfhe;
-  p.unroll_m = unroll_m;
-
-  const int64_t transfer_cycles = lwe_transfer_cycles(p);
-  const Dfg dfg = build_bootstrap_dfg(p);
-  const BootstrapProfile profile = profile_bootstrap(dfg);
-
-  // A/B at the true schedule: the PR-4 greedy-KL min-cut baseline versus the
-  // round-2 latency-aware refinement. The faster schedule wins, so every
-  // reported makespan is monotone no-worse than the PR-4 number.
-  const GateDagPartition greedy = partition_gate_dag(dag, num_chips);
-  const MultiChipScheduleResult s_greedy = schedule_gate_dag_multichip(
-      dfg, dag, greedy, cfg.pipelines, transfer_cycles);
-
-  PartitionOptions opt;
-  opt.dfg = &dfg;
-  opt.pipelines = cfg.pipelines;
-  opt.transfer_cycles = transfer_cycles;
-  const GateDagPartition refined = partition_gate_dag(dag, num_chips, opt);
-  const MultiChipScheduleResult s_refined = schedule_gate_dag_multichip(
-      dfg, dag, refined, cfg.pipelines, transfer_cycles);
-
-  const bool use_refined = s_refined.makespan < s_greedy.makespan;
-  return fill_multichip_result(
-      p, dag, num_chips, transfer_cycles, profile.latency,
-      use_refined ? refined : greedy, use_refined ? s_refined : s_greedy,
-      s_greedy.makespan, use_refined ? "latency-aware" : "greedy-kl");
-}
 
 MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
                                               const GateDag& dag,
@@ -192,57 +120,84 @@ MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
         "simulate_circuit_multichip: at least one ChipSpec required");
   }
   const int num_chips = static_cast<int>(chips.size());
-
-  // Per-chip DFGs: each chip bakes its own unroll m into its blind-rotation
-  // datapath. The clock and link come from the shared cfg.
-  std::vector<Dfg> dfgs;
-  std::vector<ChipResources> resources;
-  std::vector<BootstrapProfile> profiles;
-  dfgs.reserve(chips.size());
-  profiles.reserve(chips.size());
   SimParams p0;
   p0.hw = cfg;
   p0.tfhe = tfhe;
   p0.unroll_m = chips.front().unroll_m;
-  for (const ChipSpec& spec : chips) {
-    SimParams p = p0;
-    p.unroll_m = spec.unroll_m;
-    dfgs.push_back(build_bootstrap_dfg(p));
-    profiles.push_back(profile_bootstrap(dfgs.back()));
-  }
-  resources.reserve(chips.size());
-  for (size_t c = 0; c < chips.size(); ++c) {
-    resources.push_back(ChipResources{chips[c].pipelines, &dfgs[c]});
-  }
 
-  const int64_t transfer_cycles = lwe_transfer_cycles(p0);
-
-  // Capacity shares proportional to measured bootstrap throughput (load
-  // caps scale with each chip's speed); the true per-chip cycle model drives
-  // the refinement.
+  // The true per-chip cycle model drives the refinement: each chip bakes its
+  // own unroll m into its blind-rotation DFG (chips with the same m share
+  // one); the clock and link come from the shared cfg. Unequal chips also
+  // get capacity shares proportional to measured bootstrap throughput (load
+  // caps scale with each chip's speed); identical chips need none.
+  std::map<int, Dfg> dfgs; // by unroll m
   PartitionOptions opt;
-  opt.chip_capacity.reserve(chips.size());
+  const bool identical =
+      std::equal(chips.begin() + 1, chips.end(), chips.begin());
   int64_t max_latency = 0;
-  for (size_t c = 0; c < chips.size(); ++c) {
-    const int64_t interval = profiles[c].steady_interval(chips[c].pipelines);
-    opt.chip_capacity.push_back(1.0 / interval);
-    max_latency = std::max(max_latency, profiles[c].latency);
+  for (const ChipSpec& spec : chips) {
+    auto [dfg, fresh] = dfgs.try_emplace(spec.unroll_m);
+    if (fresh) {
+      SimParams p = p0;
+      p.unroll_m = spec.unroll_m;
+      dfg->second = build_bootstrap_dfg(p);
+    }
+    const BootstrapProfile profile = profile_bootstrap(dfg->second);
+    opt.chips.push_back(ChipResources{spec.pipelines, &dfg->second});
+    if (!identical) {
+      opt.chip_capacity.push_back(1.0 /
+                                  profile.steady_interval(spec.pipelines));
+    }
+    max_latency = std::max(max_latency, profile.latency);
   }
-  opt.chips = resources;
-  opt.transfer_cycles = transfer_cycles;
+  opt.transfer_cycles = lwe_transfer_cycles(p0);
 
-  const GateDagPartition greedy = partition_gate_dag(dag, num_chips);
-  const MultiChipScheduleResult s_greedy =
-      schedule_gate_dag_multichip(dag, greedy, resources, transfer_cycles);
-  const GateDagPartition refined = partition_gate_dag(dag, num_chips, opt);
-  const MultiChipScheduleResult s_refined =
-      schedule_gate_dag_multichip(dag, refined, resources, transfer_cycles);
+  const GateDagPartition part = partition_gate_dag(dag, num_chips, opt);
+  const MultiChipScheduleResult s =
+      schedule_gate_dag_multichip(dag, part, opt.chips, opt.transfer_cycles);
 
-  const bool use_refined = s_refined.makespan < s_greedy.makespan;
-  return fill_multichip_result(
-      p0, dag, num_chips, transfer_cycles, max_latency,
-      use_refined ? refined : greedy, use_refined ? s_refined : s_greedy,
-      s_greedy.makespan, use_refined ? "latency-aware" : "greedy-kl");
+  MultiChipSimResult out;
+  out.num_chips = num_chips;
+  out.gates = s.num_gates;
+  out.total_bootstraps = dag.total_bootstraps();
+  out.cut_wires = s.cut_wires;
+  out.transfers = s.transfers;
+  out.transfer_cycles = opt.transfer_cycles;
+  out.time_ms = s.makespan / p0.cycles_per_second() * 1e3;
+  out.transfer_busy_ms = s.transfer_busy_cycles / p0.cycles_per_second() * 1e3;
+  out.link_utilization = s.link_utilization;
+  out.chip_occupancy = s.chip_occupancy;
+  out.chip_bootstraps = part.chip_bootstraps;
+  out.time_greedy_ms = part.baseline_makespan / p0.cycles_per_second() * 1e3;
+  out.refine_gain =
+      part.baseline_makespan > 0
+          ? 1.0 - static_cast<double>(s.makespan) / part.baseline_makespan
+          : 0.0;
+  out.partition_source =
+      s.makespan < part.baseline_makespan ? "latency-aware" : "greedy-kl";
+  if (out.time_ms > 0) {
+    const double gate_latency_ms =
+        max_latency / p0.cycles_per_second() * 1e3;
+    out.effective_parallelism =
+        out.total_bootstraps * gate_latency_ms / out.time_ms;
+    out.bootstraps_per_s = out.total_bootstraps / (out.time_ms * 1e-3);
+  }
+  return out;
+}
+
+MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
+                                              int unroll_m, const GateDag& dag,
+                                              int num_chips,
+                                              const hw::MatchaConfig& cfg) {
+  if (num_chips <= 0) {
+    throw std::invalid_argument(
+        "simulate_circuit_multichip: num_chips must be positive");
+  }
+  return simulate_circuit_multichip(
+      tfhe, dag,
+      std::vector<ChipSpec>(static_cast<size_t>(num_chips),
+                            ChipSpec{cfg.pipelines, unroll_m}),
+      cfg);
 }
 
 BatchPolicySimResult simulate_batch_policy(const TfheParams& tfhe, int unroll_m,
@@ -289,17 +244,6 @@ BatchPolicySimResult simulate_batch_policy(const TfheParams& tfhe, int unroll_m,
     out.considered.push_back(std::move(pv));
   }
   return out;
-}
-
-CircuitSimResult simulate_circuit(const TfheParams& tfhe, int unroll_m,
-                                  const Netlist& netlist,
-                                  const hw::MatchaConfig& cfg) {
-  GateDag dag;
-  dag.gates.resize(netlist.deps.size());
-  for (size_t i = 0; i < netlist.deps.size(); ++i) {
-    dag.gates[i].deps = netlist.deps[i];
-  }
-  return simulate_circuit(tfhe, unroll_m, dag, cfg);
 }
 
 } // namespace matcha::sim

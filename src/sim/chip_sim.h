@@ -4,7 +4,7 @@
 // question -- how fast does an encrypted adder/CPU step run -- on top of the
 // single-gate cycle simulation.
 //
-// Both entry points ride sim/gate_dag.h's readiness-dispatch scheduler: each
+// Every entry point rides sim/gate_dag.h's readiness-dispatch scheduler: each
 // bootstrap replays the full per-bootstrap DFG with node-level resource
 // claims, so HBM contention and pipeline occupancy come from the same model
 // as the single-gate simulation instead of a coarse service-time stretch.
@@ -20,19 +20,11 @@
 
 namespace matcha::sim {
 
-/// A circuit netlist: node i depends on the listed earlier nodes. Every node
-/// is one bootstrapping gate (MUX counts as two nodes). The legacy shape --
-/// exec::GateGraph circuits arrive as a GateDag via exec/sim_bridge.h with
-/// per-gate bootstrap weights instead.
-struct Netlist {
-  std::vector<std::vector<int>> deps;
-
-  int size() const { return static_cast<int>(deps.size()); }
-};
-
-/// Builders for the workloads the examples use.
-Netlist ripple_adder_netlist(int width);      ///< 5 gates per full adder
-Netlist array_multiplier_netlist(int width);  ///< AND matrix + adder rows
+/// Builders for the workloads the examples use: every gate costs one
+/// bootstrap. Recorded exec::GateGraph circuits arrive as a GateDag via
+/// exec/sim_bridge.h instead.
+GateDag ripple_adder_netlist(int width);      ///< 5 gates per full adder
+GateDag array_multiplier_netlist(int width);  ///< AND matrix + adder rows
 
 struct CircuitSimResult {
   int gates = 0;                    ///< DAG nodes (free NOT gates included)
@@ -54,11 +46,6 @@ CircuitSimResult simulate_circuit(const TfheParams& tfhe, int unroll_m,
                                   const GateDag& dag,
                                   const hw::MatchaConfig& cfg = {});
 
-/// Legacy netlist entry point: every node is one bootstrap.
-CircuitSimResult simulate_circuit(const TfheParams& tfhe, int unroll_m,
-                                  const Netlist& netlist,
-                                  const hw::MatchaConfig& cfg = {});
-
 struct MultiChipSimResult {
   int num_chips = 1;
   int gates = 0;
@@ -74,38 +61,42 @@ struct MultiChipSimResult {
   double effective_parallelism = 0;
   std::vector<double> chip_occupancy;       ///< per-chip TGSW+EP busy fraction
   std::vector<int64_t> chip_bootstraps;     ///< per-chip load (partition)
-  /// Round-2 A/B: both the PR-4 greedy-KL min-cut partition and the
-  /// latency-aware refinement are scheduled, and the faster one is reported
-  /// above. time_greedy_ms is the baseline's makespan; refine_gain is
-  /// 1 - time_ms / time_greedy_ms (>= 0 by construction).
+  /// Round-2 A/B: partition_gate_dag schedules both the greedy-KL min-cut
+  /// baseline partition and the latency-aware refinement, and the faster one
+  /// is reported above. time_greedy_ms is the baseline's makespan;
+  /// refine_gain is 1 - time_ms / time_greedy_ms (>= 0 by construction).
   double time_greedy_ms = 0;
   double refine_gain = 0;
   std::string partition_source; ///< "greedy-kl" or "latency-aware"
 };
 
-/// Shard the circuit DAG across `num_chips` chips (partition_gate_dag) and
-/// schedule it with per-chip pipelines/poly/HBM resources; cross-chip wires
-/// ride a cfg.interchip_gbps link, one LWE ciphertext per transfer. With
-/// num_chips == 1 the makespan equals simulate_circuit's.
-MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
-                                              int unroll_m, const GateDag& dag,
-                                              int num_chips,
-                                              const hw::MatchaConfig& cfg = {});
-
-/// One chip of a heterogeneous fleet: its pipeline count and blind-rotation
-/// unroll factor (each chip runs its own per-bootstrap DFG).
+/// One chip of a fleet: its pipeline count and blind-rotation unroll factor
+/// (each chip runs its own per-bootstrap DFG).
 struct ChipSpec {
   int pipelines = 1;
   int unroll_m = 1;
+
+  bool operator==(const ChipSpec&) const = default;
 };
 
-/// Heterogeneous multi-chip simulation: the partitioner weights each chip's
-/// load cap by its measured bootstrap throughput (1 / steady interval), and
-/// both its makespan descent and the final schedule replay each chip's own
-/// DFG. `cfg.pipelines` is ignored; chips[] rules.
+/// Shard the circuit DAG across a chip fleet (partition_gate_dag) and
+/// schedule it with per-chip pipelines/poly/HBM resources, each chip
+/// replaying its own DFG; cross-chip wires ride a cfg.interchip_gbps link,
+/// one LWE ciphertext per transfer. A fleet of unequal chips weights each
+/// chip's load cap by its measured bootstrap throughput (1 / steady
+/// interval); identical chips get no caps beyond the true schedule itself.
+/// `cfg.pipelines` is ignored; chips[] rules. With one chip the makespan
+/// equals simulate_circuit's.
 MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
                                               const GateDag& dag,
                                               const std::vector<ChipSpec>& chips,
+                                              const hw::MatchaConfig& cfg = {});
+
+/// The identical fleet of `num_chips` chips, each {cfg.pipelines, unroll_m}.
+/// Throws std::invalid_argument when num_chips <= 0.
+MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
+                                              int unroll_m, const GateDag& dag,
+                                              int num_chips,
                                               const hw::MatchaConfig& cfg = {});
 
 struct BatchPolicySimResult {

@@ -1,21 +1,18 @@
-// Minimal discrete-event resource timeline used by the list scheduler:
-// tracks, per resource, when it next becomes free and how many cycles it has
-// been busy (for utilization and activity-based energy).
+// Minimal discrete-event resource timelines used by the schedulers: track,
+// per hardware unit, when it is busy and for how many cycles in total (for
+// utilization and activity-based energy).
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "sim/dfg.h"
-
 namespace matcha::sim {
 
 /// One hardware unit's availability: when it next becomes free and how long
-/// it has been busy. The building block of the per-resource timeline below
-/// and the batch scheduler's per-pipeline unit arrays. Append-only: a claim
+/// it has been busy. One per resource in schedule(dfg), one per pipeline
+/// unit in the batch scheduler. Append-only: a claim
 /// can never start before the last claim ends, which is exact for in-order
 /// issue (one gate's DFG, or round-robin interleaved batches).
 struct UnitTimeline {
@@ -165,26 +162,6 @@ class BackfillTimeline {
   /// Per block of kBlock gaps: an upper bound on its largest gap.
   std::vector<int64_t> bound_;
   int64_t busy_ = 0;
-};
-
-class ResourceTimeline {
- public:
-  /// Claim `cycles` on resource `r`, starting no earlier than `ready`.
-  /// Returns the completion time.
-  int64_t claim(Resource r, int64_t ready, int64_t cycles) {
-    auto& free_at = free_[static_cast<int>(r)];
-    const int64_t start = ready > free_at ? ready : free_at;
-    free_at = start + cycles;
-    busy_[static_cast<int>(r)] += cycles;
-    return free_at;
-  }
-
-  int64_t busy(Resource r) const { return busy_[static_cast<int>(r)]; }
-  int64_t free_at(Resource r) const { return free_[static_cast<int>(r)]; }
-
- private:
-  std::array<int64_t, static_cast<int>(Resource::kCount)> free_{};
-  std::array<int64_t, static_cast<int>(Resource::kCount)> busy_{};
 };
 
 } // namespace matcha::sim

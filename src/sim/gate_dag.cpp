@@ -44,12 +44,6 @@ int64_t GateDag::total_bootstraps() const {
   return total;
 }
 
-int64_t GateDag::total_extractions() const {
-  int64_t total = 0;
-  for (const auto& g : gates) total += g.extractions;
-  return total;
-}
-
 int64_t GateDag::critical_path_bootstraps() const {
   require_topological(*this, "GateDag::critical_path_bootstraps");
   std::vector<int64_t> depth(gates.size(), 0);
@@ -69,6 +63,7 @@ GateDag replicate_gate_dag(const GateDag& circuit, int copies) {
   if (copies < 0) {
     throw std::invalid_argument("replicate_gate_dag: copies must be >= 0");
   }
+  require_topological(circuit, "replicate_gate_dag");
   const int n = static_cast<int>(circuit.gates.size());
   GateDag out;
   out.gates.reserve(static_cast<size_t>(n) * copies);
@@ -132,10 +127,12 @@ void snap_pinned_nodes(const GateDag& dag,
   }
 }
 
-} // namespace
-
-GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
-                                    const PartitionOptions& opt) {
+/// The partition search behind both partition_gate_dag overloads: seed,
+/// refinement (true-schedule descent with a chip fleet, greedy-KL without),
+/// and optionally the wire-node snap.
+GateDagPartition search_partition(const GateDag& dag, int num_chips,
+                                  const PartitionOptions& opt,
+                                  bool pin_wire_nodes) {
   if (num_chips <= 0) {
     throw std::invalid_argument("partition_gate_dag: num_chips must be positive");
   }
@@ -198,8 +195,7 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
   // caps would only forbid profitable imbalance (a chip finishing the tail
   // alone while the rest sit idle is *faster* than forced balance). Explicit
   // heterogeneous capacities stay binding either way.
-  const bool true_model =
-      !opt.chips.empty() || (opt.dfg != nullptr && opt.pipelines > 0);
+  const bool true_model = !opt.chips.empty();
   const bool loose_caps = true_model && opt.chip_capacity.empty();
   for (int c = 0; c < effective; ++c) {
     part.chip_load_cap[static_cast<size_t>(c)] =
@@ -246,11 +242,6 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
   // cannot reach across makespan plateaus -- then (b) a single-gate polish
   // within each gate's [max dep chip, min user chip] window.
   if (true_model && effective > 1 && n > 1) {
-    std::vector<ChipResources> chip_specs = opt.chips;
-    if (chip_specs.empty()) {
-      chip_specs.assign(static_cast<size_t>(num_chips),
-                        ChipResources{opt.pipelines, opt.dfg});
-    }
     // Each candidate costs a full schedule (O(bootstraps * DFG nodes)), so
     // the search budget shrinks with DAG size; small latency-critical
     // circuits -- where refinement matters most -- get the full sweep.
@@ -275,7 +266,7 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
         if (hit != memo.end()) return hit->second;
       }
       probe.chip_of = candidate;
-      const int64_t t = schedule_gate_dag_multichip(dag, probe, chip_specs,
+      const int64_t t = schedule_gate_dag_multichip(dag, probe, opt.chips,
                                                     opt.transfer_cycles)
                             .makespan;
       if (memoise) memo.emplace(key, t);
@@ -461,7 +452,7 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
   // Wire-node anchoring: NOT/kFreeOr nodes ride with the rotation that
   // feeds them, so their outputs never pay a transfer away from their anchor
   // and multi-output bundles stay priced once.
-  if (opt.pin_wire_nodes) {
+  if (pin_wire_nodes) {
     snap_pinned_nodes(dag, users, effective, chip_of, load);
   }
 
@@ -475,10 +466,32 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
   return part;
 }
 
+} // namespace
+
+GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
+                                    const PartitionOptions& opt) {
+  GateDagPartition part =
+      search_partition(dag, num_chips, opt, /*pin_wire_nodes=*/true);
+  if (opt.chips.empty()) return part;
+  // Never slower than the greedy-KL baseline: schedule it too -- after the
+  // search and outside its budget, so the descent path is unchanged -- and
+  // keep it unless the refinement is strictly faster.
+  GateDagPartition base = partition_gate_dag(dag, num_chips);
+  const auto makespan = [&](const GateDagPartition& candidate) {
+    return schedule_gate_dag_multichip(dag, candidate, opt.chips,
+                                       opt.transfer_cycles)
+        .makespan;
+  };
+  const int64_t t_base = makespan(base);
+  GateDagPartition& out =
+      part.chip_of != base.chip_of && makespan(part) < t_base ? part : base;
+  out.baseline_makespan = t_base;
+  return std::move(out);
+}
+
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips) {
-  PartitionOptions pr4;
-  pr4.pin_wire_nodes = false;
-  return partition_gate_dag(dag, num_chips, pr4);
+  return search_partition(dag, num_chips, PartitionOptions{},
+                          /*pin_wire_nodes=*/false);
 }
 
 MultiChipScheduleResult schedule_gate_dag_multichip(
@@ -687,25 +700,6 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
   return r;
 }
 
-MultiChipScheduleResult schedule_gate_dag_multichip(const Dfg& gate_dfg,
-                                                    const GateDag& dag,
-                                                    const GateDagPartition& part,
-                                                    int pipelines,
-                                                    int64_t transfer_cycles) {
-  if (pipelines <= 0) {
-    throw std::invalid_argument(
-        "schedule_gate_dag_multichip: pipelines must be positive");
-  }
-  if (part.num_chips <= 0) {
-    throw std::invalid_argument(
-        "schedule_gate_dag_multichip: partition does not match the DAG");
-  }
-  const std::vector<ChipResources> chips(
-      static_cast<size_t>(part.num_chips),
-      ChipResources{pipelines, &gate_dfg});
-  return schedule_gate_dag_multichip(dag, part, chips, transfer_cycles);
-}
-
 GateDagScheduleResult schedule_gate_dag(const Dfg& gate_dfg, const GateDag& dag,
                                         int pipelines) {
   if (pipelines <= 0) {
@@ -718,7 +712,7 @@ GateDagScheduleResult schedule_gate_dag(const Dfg& gate_dfg, const GateDag& dag,
   one.chip_of.assign(dag.gates.size(), 0);
   one.chip_bootstraps.assign(1, dag.total_bootstraps());
   const MultiChipScheduleResult m =
-      schedule_gate_dag_multichip(gate_dfg, dag, one, pipelines, 0);
+      schedule_gate_dag_multichip(dag, one, {{pipelines, &gate_dfg}}, 0);
   GateDagScheduleResult r;
   r.num_gates = m.num_gates;
   r.pipelines = m.pipelines;

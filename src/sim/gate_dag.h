@@ -16,10 +16,11 @@
 // Round 2 (batch-aware scheduling): the partition objective is *predicted
 // makespan*, not cut size -- the inter-chip link sits below 0.01% utilization
 // on every measured circuit, so cut wires are nearly free while chip idle
-// time is not. PartitionOptions attaches the cycle model the refinement
-// scores candidates with (the true multi-chip schedule) and carries
+// time is not. PartitionOptions attaches the chip fleet the refinement
+// scores candidates on (the true multi-chip schedule) and carries
 // heterogeneous per-chip capacities; the plain two-argument
-// partition_gate_dag keeps the PR-4 min-cut behavior as the A/B baseline.
+// partition_gate_dag is the greedy-KL min-cut baseline, which the refined
+// call also schedules and returns whenever it is not beaten.
 // sim/multichip_policy.h builds on this to pick replicate-vs-shard
 // placements per batch shape.
 #pragma once
@@ -38,17 +39,12 @@ namespace matcha::sim {
 /// consumes.
 struct GateDagNode {
   int bootstraps = 1;
-  /// Accumulator readouts this node performs: 1 per rotation, plus one per
-  /// extra output of a multi-output LUT (exec/sim_bridge.h merges the
-  /// extraction nodes into their parent rotation). Extraction is a wire-read
-  /// on the chip, so it never adds schedule latency -- it is surfaced for
-  /// activity accounting only.
-  int extractions = 1;
   /// Anchor affinity for zero-bootstrap wire nodes (NOT, kFreeOr): the dep
   /// this node should share a chip with whenever the partition allows it.
   /// A wire node placed away from every operand would pay transfers for all
-  /// of them, so the round-2 partitioner snaps pinned nodes next to their
-  /// anchor (see PartitionOptions::pin_wire_nodes). -1 = unpinned.
+  /// of them, so the round-2 partitioner (the three-argument
+  /// partition_gate_dag) snaps pinned nodes next to their anchor.
+  /// -1 = unpinned.
   int pin = -1;
   std::vector<int> deps;
 };
@@ -57,7 +53,6 @@ struct GateDag {
   std::vector<GateDagNode> gates;
 
   int64_t total_bootstraps() const;
-  int64_t total_extractions() const;
   /// Longest dependency chain, weighted in bootstraps -- the depth bound no
   /// amount of pipelines can beat. Throws std::invalid_argument when a dep
   /// or pin does not index an earlier gate.
@@ -67,7 +62,8 @@ struct GateDag {
 /// `copies` disjoint instances of `circuit`, concatenated (copy k occupies
 /// indices [k*n, (k+1)*n)). The batch-DAG building block of the replicate-
 /// vs-shard policy: batch items are independent, so their DAGs share no
-/// edges and the scheduler interleaves them freely.
+/// edges and the scheduler interleaves them freely. Throws
+/// std::invalid_argument when a dep or pin does not index an earlier gate.
 GateDag replicate_gate_dag(const GateDag& circuit, int copies);
 
 /// A sharding of a GateDag across `num_chips` chips: every gate lives on
@@ -84,36 +80,30 @@ struct GateDagPartition {
   std::vector<int64_t> chip_bootstraps; ///< per-chip load (bootstraps)
   std::vector<int64_t> chip_load_cap;   ///< cap the refinement enforced
   int64_t cut_wires = 0; ///< dependence edges whose endpoints differ in chip
+  /// Makespan of the greedy-KL baseline (two-argument partition_gate_dag)
+  /// on the chip fleet the refinement ran against; 0 without one.
+  int64_t baseline_makespan = 0;
 };
 
-/// Per-chip resources for the heterogeneous scheduler: a pipeline count and
-/// the per-bootstrap DFG that chip executes (its own unroll m / clocking
-/// baked in by sim/dfg.h).
+/// One chip of a fleet: its pipeline count and the per-bootstrap DFG it
+/// executes (its own unroll m / clocking baked in by sim/dfg.h). Identical
+/// entries describe a homogeneous fleet.
 struct ChipResources {
   int pipelines = 1;
   const Dfg* dfg = nullptr;
 };
 
-/// Round-2 partition knobs. With a cycle model attached (`dfg`+`pipelines`,
-/// or `chips`), refinement is a prefix-boundary coordinate descent plus a
-/// single-gate polish against the *true* multi-chip schedule -- cut size
-/// rises freely, only predicted makespan matters. Without one it is PR-4
-/// greedy-KL min-cut.
+/// Round-2 partition knobs. With a chip fleet attached (`chips`), refinement
+/// is a prefix-boundary coordinate descent plus a single-gate polish against
+/// the *true* multi-chip schedule -- cut size rises freely, only predicted
+/// makespan matters. Without one it is greedy-KL min-cut.
 struct PartitionOptions {
   /// Relative per-chip throughput capacity (empty = homogeneous). Load caps
   /// and balance targets scale by each chip's share, so a chip with twice
   /// the pipelines absorbs twice the bootstraps.
   std::vector<double> chip_capacity;
-  /// Snap zero-bootstrap wire nodes (GateDagNode::pin) onto their anchor's
-  /// chip whenever edge monotonicity allows, so NOT/kFreeOr wires are never
-  /// separated from the rotation that feeds them.
-  bool pin_wire_nodes = true;
-  /// Cycle model for the makespan refinement: the per-bootstrap DFG and
-  /// per-chip pipeline count every chip runs (homogeneous)...
-  const Dfg* dfg = nullptr;
-  int pipelines = 0;
-  /// ...or a full per-chip resource list (heterogeneous; overrides
-  /// dfg/pipelines when non-empty). Pointers must outlive the call.
+  /// The cycle model: one entry per chip (chips.size() == num_chips), or
+  /// empty for none. Pointers must outlive the call.
   std::vector<ChipResources> chips;
   int64_t transfer_cycles = 0;
 };
@@ -121,15 +111,20 @@ struct PartitionOptions {
 /// Shard the DAG into `num_chips` parts. The seed is chip-monotone by
 /// construction (weight-balanced topological prefix blocks); refinement
 /// moves boundaries or single gates between chips without ever violating
-/// edge monotonicity or the per-chip load cap. Deterministic for a given DAG
-/// and options. Throws std::invalid_argument when a dep or pin does not
-/// index an earlier gate.
+/// edge monotonicity or the per-chip load cap, then zero-bootstrap wire
+/// nodes snap onto their anchor's chip (GateDagNode::pin) whenever edge
+/// monotonicity allows. With `opt.chips` set, the greedy-KL baseline (the
+/// two-argument call) is scheduled too and returned unless the refined
+/// partition is strictly faster; baseline_makespan records its makespan
+/// either way, so the result is never slower than the baseline.
+/// Deterministic for a given DAG and options.
+/// Throws std::invalid_argument when a dep or pin does not index an earlier
+/// gate.
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
                                     const PartitionOptions& opt);
 
 /// PR-4 baseline: greedy-KL cut minimization over a prefix seed (plus the
-/// degenerate-DAG fix). The A/B reference the round-2 options are measured
-/// against.
+/// degenerate-DAG fix), no wire-node snapping.
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips);
 
 struct MultiChipScheduleResult {
@@ -149,33 +144,27 @@ struct MultiChipScheduleResult {
   std::vector<double> chip_poly_utilization;
 };
 
-/// Multi-chip variant of schedule_gate_dag: every chip owns `pipelines`
-/// TGSW/EP pairs plus a private polynomial unit and HBM channel; gates run on
-/// the chip `part` assigns them. A value consumed on a different chip than
-/// it was produced on first claims the shared inter-chip link for
+/// Multi-chip variant of schedule_gate_dag: chip c owns chips[c].pipelines
+/// TGSW/EP pairs running its own per-bootstrap DFG, plus a private
+/// polynomial unit and HBM channel (chips.size() == part.num_chips); gates
+/// run on the chip `part` assigns them. A value consumed on a different chip
+/// than it was produced on first claims the shared inter-chip link for
 /// `transfer_cycles` (earliest start at producer completion) -- one transfer
 /// per distinct (value, destination chip), reused by every consumer there; a
 /// multi-output LUT bundle is one value, so all its extractions cross in one
-/// send. With num_chips == 1 this reduces exactly to schedule_gate_dag.
+/// send. With one chip this reduces exactly to schedule_gate_dag.
 /// Throws std::invalid_argument on a partition or chip list that does not
 /// match, or a dep or pin that does not index an earlier gate.
-MultiChipScheduleResult schedule_gate_dag_multichip(const Dfg& gate_dfg,
-                                                    const GateDag& dag,
-                                                    const GateDagPartition& part,
-                                                    int pipelines,
-                                                    int64_t transfer_cycles);
-
-/// Heterogeneous-chip variant: chips[c] names chip c's pipeline count and
-/// per-bootstrap DFG (chips.size() == part.num_chips). The homogeneous
-/// overload above is this with every chip identical.
 MultiChipScheduleResult schedule_gate_dag_multichip(
     const GateDag& dag, const GateDagPartition& part,
     const std::vector<ChipResources>& chips, int64_t transfer_cycles);
 
+/// One chip's schedule: a circuit here, or a batch of identical gates from
+/// scheduler.h's schedule_batch.
 struct GateDagScheduleResult {
   int num_gates = 0;
   int pipelines = 0;
-  int64_t makespan = 0;           ///< circuit completion (cycles)
+  int64_t makespan = 0;           ///< completion of the last gate (cycles)
   std::vector<int64_t> gate_end;  ///< per-gate completion cycle
   double pipeline_occupancy = 0;  ///< mean TGSW+EP busy fraction
   double hbm_utilization = 0;

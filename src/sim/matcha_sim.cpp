@@ -70,7 +70,7 @@ BatchSimResult simulate_batch(const TfheParams& tfhe, int unroll_m,
 
   const Dfg dfg = build_bootstrap_dfg(p);
   const ScheduleResult single = schedule(dfg);
-  const BatchScheduleResult b = schedule_batch(dfg, num_gates, cfg.pipelines);
+  const GateDagScheduleResult b = schedule_batch(dfg, num_gates, cfg.pipelines);
 
   BatchSimResult r;
   r.num_gates = num_gates;

@@ -64,37 +64,31 @@ BatchPlan plan_batch_schedule(const BatchPlanRequest& req) {
   BatchPlan plan;
   plan.batch_dag = replicate_gate_dag(*req.circuit, req.batch);
 
-  PartitionOptions opt;
-  opt.dfg = req.dfg;
-  opt.pipelines = req.pipelines;
-  opt.transfer_cycles = req.transfer_cycles;
+  const ChipResources chip{req.pipelines, req.dfg};
+  const std::vector<ChipResources> fleet(static_cast<size_t>(C), chip);
 
   // Shard layouts of `copies` stacked circuit instances across S chips are
   // identical for every group with the same copy count -- cache them.
   // A single item sharded across its group gets the full true-cycle-model
-  // refinement (and a true-schedule A/B against the PR-4 greedy baseline);
-  // multi-copy groups use the weight-balanced baseline, whose contiguous
-  // blocks stripe whole copies across the group -- already the right shape
-  // for independent items.
+  // refinement (never slower than the greedy-KL baseline); multi-copy
+  // groups use the weight-balanced baseline, whose contiguous blocks stripe
+  // whole copies across the group -- already the right shape for
+  // independent items.
   std::map<std::pair<int, int>, std::vector<int>> shard_cache;
   const auto shard_layout = [&](int copies, int S) -> const std::vector<int>& {
     auto it = shard_cache.find({copies, S});
     if (it != shard_cache.end()) return it->second;
     const GateDag sub = replicate_gate_dag(*req.circuit, copies);
-    GateDagPartition best = partition_gate_dag(sub, S);
+    GateDagPartition layout;
     if (copies == 1 && S > 1) {
-      GateDagPartition refined = partition_gate_dag(sub, S, opt);
-      const int64_t t_greedy =
-          schedule_gate_dag_multichip(*req.dfg, sub, best, req.pipelines,
-                                      req.transfer_cycles)
-              .makespan;
-      const int64_t t_refined =
-          schedule_gate_dag_multichip(*req.dfg, sub, refined, req.pipelines,
-                                      req.transfer_cycles)
-              .makespan;
-      if (t_refined < t_greedy) best = std::move(refined);
+      PartitionOptions opt;
+      opt.chips.assign(static_cast<size_t>(S), chip);
+      opt.transfer_cycles = req.transfer_cycles;
+      layout = partition_gate_dag(sub, S, opt);
+    } else {
+      layout = partition_gate_dag(sub, S);
     }
-    return shard_cache.emplace(std::make_pair(copies, S), best.chip_of)
+    return shard_cache.emplace(std::make_pair(copies, S), layout.chip_of)
         .first->second;
   };
 
@@ -118,7 +112,7 @@ BatchPlan plan_batch_schedule(const BatchPlanRequest& req) {
     const GateDagPartition part =
         compose_partition(plan.batch_dag, C, chip_of);
     const MultiChipScheduleResult sched = schedule_gate_dag_multichip(
-        *req.dfg, plan.batch_dag, part, req.pipelines, req.transfer_cycles);
+        plan.batch_dag, part, fleet, req.transfer_cycles);
 
     BatchPlanVariant v;
     v.policy = G == C ? BatchPolicy::kReplicate

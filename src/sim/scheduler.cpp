@@ -1,8 +1,11 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
+
+#include "sim/cycle_sim.h"
 
 namespace matcha::sim {
 
@@ -11,20 +14,21 @@ ScheduleResult schedule(const Dfg& dfg) {
   const size_t n = dfg.nodes.size();
   r.start.assign(n, 0);
   r.end.assign(n, 0);
-  ResourceTimeline timeline;
+  std::array<UnitTimeline, static_cast<int>(Resource::kCount)> units{};
   for (const auto& node : dfg.nodes) {
     int64_t ready = 0;
     for (int d : node.deps) {
       assert(d < node.id && "DFG must be emitted in topological order");
       if (r.end[d] > ready) ready = r.end[d];
     }
-    const int64_t done = timeline.claim(node.resource, ready, node.cycles);
+    const int64_t done =
+        units[static_cast<int>(node.resource)].claim(ready, node.cycles);
     r.start[node.id] = done - node.cycles;
     r.end[node.id] = done;
     if (done > r.makespan) r.makespan = done;
   }
   for (int i = 0; i < static_cast<int>(Resource::kCount); ++i) {
-    r.busy[i] = timeline.busy(static_cast<Resource>(i));
+    r.busy[i] = units[i].busy;
   }
   return r;
 }
@@ -40,12 +44,12 @@ BootstrapProfile profile_bootstrap(const Dfg& gate_dfg) {
   return p;
 }
 
-BatchScheduleResult schedule_batch(const Dfg& gate_dfg, int num_gates,
-                                   int pipelines) {
+GateDagScheduleResult schedule_batch(const Dfg& gate_dfg, int num_gates,
+                                     int pipelines) {
   if (pipelines <= 0) {
     throw std::invalid_argument("schedule_batch: pipelines must be positive");
   }
-  BatchScheduleResult r;
+  GateDagScheduleResult r;
   r.num_gates = num_gates;
   r.pipelines = pipelines;
   r.gate_end.assign(num_gates, 0);

@@ -8,8 +8,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/cycle_sim.h"
 #include "sim/dfg.h"
+#include "sim/gate_dag.h"
 
 namespace matcha::sim {
 
@@ -29,20 +29,6 @@ struct ScheduleResult {
 /// builder emits them in pipeline order), which matches the hardware's
 /// in-order FIFOs between the TGSW cluster and EP core (Fig. 6(b)).
 ScheduleResult schedule(const Dfg& dfg);
-
-/// Result of scheduling a *batch* of identical gate bootstrappings across the
-/// chip's pipelines (exec/batch_executor.h is the software analogue).
-struct BatchScheduleResult {
-  int num_gates = 0;
-  int pipelines = 0;
-  int64_t makespan = 0;           ///< batch completion time (cycles)
-  std::vector<int64_t> gate_end;  ///< per-gate completion cycle
-  /// Mean busy fraction of the per-pipeline resources (TGSW cluster + EP
-  /// core) over the whole batch window -- the paper's utilization story.
-  double pipeline_occupancy = 0;
-  double hbm_utilization = 0;
-  double poly_utilization = 0;
-};
 
 /// Coarse per-bootstrap cost profile extracted from one scheduling of the
 /// per-bootstrap DFG: the latency of one bootstrap alone and the steady-state
@@ -73,8 +59,14 @@ BootstrapProfile profile_bootstrap(const Dfg& gate_dfg);
 /// gate never spreads across pipelines); the polynomial unit and the HBM
 /// channel are shared chip-wide, so key streaming contends across gates.
 /// Nodes are issued round-robin across gates, modeling the memory
-/// controller's fair interleaving of concurrent key streams.
-BatchScheduleResult schedule_batch(const Dfg& gate_dfg, int num_gates,
-                                   int pipelines);
+/// controller's fair interleaving of concurrent key streams
+/// (exec/batch_executor.h is the software analogue).
+///
+/// This is not schedule_gate_dag over an edgeless DAG: that dispatches a
+/// gate at a time, leaving HBM gaps that node-by-node interleaving fills,
+/// and is up to 48% slower for batches >= 2 at security110 (DESIGN.md
+/// "Simulator view").
+GateDagScheduleResult schedule_batch(const Dfg& gate_dfg, int num_gates,
+                                     int pipelines);
 
 } // namespace matcha::sim

@@ -1,21 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "exec/circuit_builder.h"
+#include "exec/sim_bridge.h"
 #include "sim/chip_sim.h"
 
 namespace matcha::sim {
 namespace {
 
 const TfheParams kParams = TfheParams::security110();
-
-GateDag dag_of(const Netlist& n) {
-  GateDag dag;
-  dag.gates.resize(n.deps.size());
-  for (size_t i = 0; i < n.deps.size(); ++i) dag.gates[i].deps = n.deps[i];
-  return dag;
-}
 
 /// Exact partition and schedule results, captured before the simulator's
 /// timeline and probe speed-ups, so that any later speed-up must reproduce
@@ -24,6 +20,7 @@ struct Golden {
   double time_ms, time_greedy_ms;
   int64_t transfers, cut_wires;
   std::vector<int64_t> chip_bootstraps;
+  std::string source = "latency-aware"; ///< which partition won the A/B
 };
 
 void expect_golden(const MultiChipSimResult& r, const Golden& g) {
@@ -32,23 +29,42 @@ void expect_golden(const MultiChipSimResult& r, const Golden& g) {
   EXPECT_EQ(r.transfers, g.transfers);
   EXPECT_EQ(r.cut_wires, g.cut_wires);
   EXPECT_EQ(r.chip_bootstraps, g.chip_bootstraps);
-  EXPECT_EQ(r.partition_source, "latency-aware");
+  EXPECT_EQ(r.partition_source, g.source);
 }
 
-TEST(Netlist, RippleAdderShape) {
-  const Netlist n = ripple_adder_netlist(4);
-  EXPECT_EQ(n.size(), 20); // 5 gates per full adder
-  // Dependencies reference earlier nodes only.
-  for (int i = 0; i < n.size(); ++i) {
-    for (int d : n.deps[i]) {
+/// Every gate one bootstrap, every dep an earlier gate.
+void expect_unit_topological(const GateDag& dag) {
+  for (size_t i = 0; i < dag.gates.size(); ++i) {
+    EXPECT_EQ(dag.gates[i].bootstraps, 1);
+    EXPECT_EQ(dag.gates[i].pin, -1);
+    for (const int d : dag.gates[i].deps) {
       EXPECT_GE(d, 0);
-      EXPECT_LT(d, i);
+      EXPECT_LT(d, static_cast<int>(i));
     }
   }
 }
 
-TEST(Netlist, MultiplierBiggerThanAdder) {
-  EXPECT_GT(array_multiplier_netlist(4).size(), ripple_adder_netlist(4).size());
+TEST(CircuitBuilders, RippleAdderShape) {
+  const GateDag dag = ripple_adder_netlist(4);
+  ASSERT_EQ(dag.gates.size(), 20u); // 5 gates per full adder
+  expect_unit_topological(dag);
+  // The carry-out of full adder 0 feeds the sum and AND of full adder 1.
+  EXPECT_EQ(dag.gates[4].deps, (std::vector<int>{2, 3}));
+  EXPECT_EQ(dag.gates[6].deps, (std::vector<int>{5, 4}));
+  EXPECT_EQ(dag.gates[8].deps, (std::vector<int>{5, 4}));
+  EXPECT_EQ(dag.critical_path_bootstraps(), 9);
+}
+
+TEST(CircuitBuilders, MultiplierShape) {
+  const GateDag dag = array_multiplier_netlist(4);
+  // 16 ANDs, then 3 rows of 4 five-gate adders.
+  ASSERT_EQ(dag.gates.size(), 16u + 3 * 4 * 5);
+  expect_unit_topological(dag);
+  EXPECT_GT(dag.gates.size(), ripple_adder_netlist(4).gates.size());
+  // The first adder of row 1 reads only its partial product.
+  EXPECT_EQ(dag.gates[16].deps, (std::vector<int>{4}));
+  EXPECT_EQ(dag.gates[19].deps, (std::vector<int>{16, 17, 18}));
+  EXPECT_EQ(dag.gates[20].deps, (std::vector<int>{19}));
 }
 
 TEST(ChipSim, AdderRunsFasterThanSerial) {
@@ -56,14 +72,14 @@ TEST(ChipSim, AdderRunsFasterThanSerial) {
   // almost to the 40/17 dependency bound. At m=3 the same circuit is
   // HBM-bound (the paper's memory-bound regime): the bigger unrolled key
   // stream erodes gate-level overlap, even though per-gate latency shrank.
-  const Netlist n = ripple_adder_netlist(8);
-  const auto r1 = simulate_circuit(kParams, 1, n);
-  EXPECT_EQ(r1.gates, n.size());
+  const GateDag dag = ripple_adder_netlist(8);
+  const auto r1 = simulate_circuit(kParams, 1, dag);
+  EXPECT_EQ(r1.gates, static_cast<int>(dag.gates.size()));
   EXPECT_GT(r1.effective_parallelism, 1.8);
   EXPECT_LT(r1.time_ms, r1.gates * r1.gate_latency_ms);
   // But not faster than the critical path allows.
   EXPECT_GE(r1.time_ms, r1.critical_path * r1.gate_latency_ms * 0.99);
-  const auto r3 = simulate_circuit(kParams, 3, n);
+  const auto r3 = simulate_circuit(kParams, 3, dag);
   EXPECT_GT(r3.effective_parallelism, 1.0);
   EXPECT_LT(r3.effective_parallelism, r1.effective_parallelism);
   EXPECT_GT(r3.hbm_utilization, r1.hbm_utilization);
@@ -72,8 +88,7 @@ TEST(ChipSim, AdderRunsFasterThanSerial) {
 }
 
 TEST(ChipSim, CriticalPathMatchesRippleStructure) {
-  const Netlist n = ripple_adder_netlist(4);
-  const auto r = simulate_circuit(kParams, 3, n);
+  const auto r = simulate_circuit(kParams, 3, ripple_adder_netlist(4));
   // Carry chain: ~3 gates of depth per full-adder stage.
   EXPECT_GE(r.critical_path, 8);
   EXPECT_LE(r.critical_path, 14);
@@ -81,16 +96,16 @@ TEST(ChipSim, CriticalPathMatchesRippleStructure) {
 
 TEST(ChipSim, WideCircuitSaturatesPipelines) {
   // 64 independent gates on 8 pipelines: parallelism near 8 (HBM permitting).
-  Netlist flat;
-  flat.deps.assign(64, {});
+  GateDag flat;
+  flat.gates.resize(64);
   const auto r = simulate_circuit(kParams, 1, flat);
   EXPECT_GT(r.effective_parallelism, 4.0);
   EXPECT_LE(r.effective_parallelism, 8.01);
 }
 
 TEST(ChipSim, HbmThrottlesWideCircuitsAtHighM) {
-  Netlist flat;
-  flat.deps.assign(64, {});
+  GateDag flat;
+  flat.gates.resize(64);
   const auto r3 = simulate_circuit(kParams, 3, flat);
   hw::MatchaConfig fat;
   fat.hbm_gbps = 5120.0;
@@ -124,8 +139,7 @@ TEST(ChipSim, MultiChipShardingBeatsOneChipWhenHbmBound) {
   // the wide multiplier, so sharding across two chips (two HBM channels, two
   // pipeline banks) must strictly beat it even though the shards now pay for
   // cross-chip wire transfers.
-  const Netlist n = array_multiplier_netlist(8);
-  const GateDag dag = dag_of(n);
+  const GateDag dag = array_multiplier_netlist(8);
   const auto r1 = simulate_circuit_multichip(kParams, 3, dag, 1);
   const auto r2 = simulate_circuit_multichip(kParams, 3, dag, 2);
   const auto r4 = simulate_circuit_multichip(kParams, 3, dag, 4);
@@ -176,8 +190,8 @@ TEST(ChipSim, MultiChipSchedulesMatchGoldenValues) {
       {"add8", 3, 4,
        {4.0300444999999998, 5.0854784999999998, 8, 8, {5, 4, 9, 22}}},
   };
-  const GateDag mul8 = dag_of(array_multiplier_netlist(8));
-  const GateDag add8 = dag_of(ripple_adder_netlist(8));
+  const GateDag mul8 = array_multiplier_netlist(8);
+  const GateDag add8 = ripple_adder_netlist(8);
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.circuit) + " m=" + std::to_string(c.m) +
                  " chips=" + std::to_string(c.chips));
@@ -200,12 +214,70 @@ TEST(ChipSim, MultiChipSchedulesMatchGoldenValues) {
   EXPECT_DOUBLE_EQ(p.considered[2].time_ms, 5.7942230000000006); // shard
 }
 
+TEST(ChipSim, CompiledCircuitsPinBothPartitionSources) {
+  // Recorded circuits through exec/sim_bridge.h, one for each outcome of the
+  // partitioner's A/B against its greedy-KL baseline.
+  exec::CircuitBuilder add;
+  {
+    exec::SymWordCircuits wc(add);
+    const exec::SymWord x = add.input_word(8), y = add.input_word(8);
+    add.mark_output(wc.add(x, y, nullptr, /*with_carry_out=*/true));
+    add.mark_output(wc.greater_than(x, y));
+  }
+  const GateDag addcmp = exec::to_gate_dag(
+      add.compile(exec::OptimizeOptions::bit_preserving()).graph);
+  ASSERT_EQ(addcmp.gates.size(), 80u);
+  ASSERT_EQ(addcmp.total_bootstraps(), 72);
+  // The refined partition alone takes 13,158,956 cycles, the baseline
+  // 13,143,472: the baseline is kept.
+  expect_golden(simulate_circuit_multichip(kParams, 3, addcmp, 2),
+                {6.571736, 6.571736, 1, 1, {35, 37}, "greedy-kl"});
+
+  // The benchmark workload (perfbench sim_mul8cmp_4chip).
+  exec::CircuitBuilder mul;
+  {
+    exec::SymWordCircuits wc(mul);
+    const exec::SymWord x = mul.input_word(8), y = mul.input_word(8);
+    mul.mark_output(wc.multiply(x, y));
+    mul.mark_output(wc.greater_than(x, y));
+    mul.mark_output(wc.equal(x, y));
+  }
+  const GateDag mulcmp = exec::to_gate_dag(mul.compile().graph);
+  ASSERT_EQ(mulcmp.gates.size(), 103u);
+  ASSERT_EQ(mulcmp.total_bootstraps(), 96);
+  expect_golden(simulate_circuit_multichip(kParams, 3, mulcmp, 4),
+                {5.917225, 7.149855, 25, 26, {14, 16, 33, 33}});
+}
+
+TEST(ChipSim, IdenticalFleetSimulatesLikeNumChips) {
+  // A fleet of identical chips is the homogeneous case: same caps, same
+  // partition, same schedule as the num_chips call.
+  const GateDag dag = ripple_adder_netlist(8);
+  for (const int m : {1, 3}) {
+    for (const int c : {2, 4}) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " chips=" + std::to_string(c));
+      const auto fleet = simulate_circuit_multichip(
+          kParams, dag, std::vector<ChipSpec>(c, {8, m}));
+      const auto homog = simulate_circuit_multichip(kParams, m, dag, c);
+      EXPECT_EQ(fleet.time_ms, homog.time_ms);
+      EXPECT_EQ(fleet.time_greedy_ms, homog.time_greedy_ms);
+      EXPECT_EQ(fleet.transfers, homog.transfers);
+      EXPECT_EQ(fleet.cut_wires, homog.cut_wires);
+      EXPECT_EQ(fleet.chip_bootstraps, homog.chip_bootstraps);
+      EXPECT_EQ(fleet.partition_source, homog.partition_source);
+    }
+  }
+  EXPECT_THROW(simulate_circuit_multichip(kParams, 3, dag, 0),
+               std::invalid_argument);
+  EXPECT_THROW(simulate_circuit_multichip(kParams, 3, dag, -1),
+               std::invalid_argument);
+}
+
 TEST(ChipSim, BatchPolicyReplicatesWhenBatchCoversChips) {
   // batch == chips: the policy must pick pure replication (one whole circuit
   // per chip, zero link traffic), and -- with identical chips -- the whole
   // batch finishes in exactly one circuit's single-chip makespan.
-  const Netlist n = ripple_adder_netlist(8);
-  const GateDag dag = dag_of(n);
+  const GateDag dag = ripple_adder_netlist(8);
 
   const auto r4 = simulate_batch_policy(kParams, 3, dag, 4, 4);
   EXPECT_EQ(r4.policy, BatchPolicy::kReplicate);
@@ -233,8 +305,7 @@ TEST(ChipSim, BatchPolicyShardsSingletons) {
   // batch == 1 on several chips: latency is the only objective, and only
   // sharding shortens it, so the policy must not fall back to replication
   // (which would idle every chip but one).
-  const Netlist n = array_multiplier_netlist(6);
-  const GateDag dag = dag_of(n);
+  const GateDag dag = array_multiplier_netlist(6);
 
   const auto r = simulate_batch_policy(kParams, 3, dag, 1, 2);
   EXPECT_EQ(r.policy, BatchPolicy::kShard);
@@ -255,13 +326,12 @@ TEST(ChipSim, HeterogeneousChipsWeightLoadByThroughput) {
   // A fast chip (8 pipelines, m=3) next to a weak one (2 pipelines, m=1):
   // capacity-weighted partitioning must respect the per-chip caps it set,
   // and the A/B guarantee against the capacity-blind greedy baseline holds.
-  const Netlist n = array_multiplier_netlist(6);
-  const GateDag dag = dag_of(n);
+  const GateDag dag = array_multiplier_netlist(6);
 
   const std::vector<ChipSpec> chips{{8, 3}, {2, 1}};
   const auto r = simulate_circuit_multichip(kParams, dag, chips);
   EXPECT_EQ(r.num_chips, 2);
-  EXPECT_EQ(r.gates, n.size());
+  EXPECT_EQ(r.gates, static_cast<int>(dag.gates.size()));
   EXPECT_EQ(r.total_bootstraps, dag.total_bootstraps());
   EXPECT_GT(r.time_ms, 0.0);
   EXPECT_LE(r.time_ms, r.time_greedy_ms * (1 + 1e-12));
@@ -273,15 +343,15 @@ TEST(ChipSim, HeterogeneousChipsWeightLoadByThroughput) {
   EXPECT_GE(r.chip_bootstraps[0], r.chip_bootstraps[1]);
 }
 
-TEST(ChipSim, EmptyNetlist) {
-  const auto r = simulate_circuit(kParams, 2, Netlist{});
+TEST(ChipSim, EmptyCircuit) {
+  const auto r = simulate_circuit(kParams, 2, GateDag{});
   EXPECT_EQ(r.gates, 0);
   EXPECT_EQ(r.time_ms, 0.0);
 }
 
 TEST(ChipSim, MorePipelinesHelpWideCircuits) {
-  Netlist flat;
-  flat.deps.assign(64, {});
+  GateDag flat;
+  flat.gates.resize(64);
   hw::MatchaConfig big;
   big.pipelines = 16;
   big.hbm_gbps = 2560.0; // keep HBM out of the way

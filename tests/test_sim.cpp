@@ -320,7 +320,7 @@ TEST(BatchSchedule, SingleGateMatchesScalarScheduler) {
   p.unroll_m = 3;
   const Dfg g = build_bootstrap_dfg(p);
   const ScheduleResult single = schedule(g);
-  const BatchScheduleResult b = schedule_batch(g, 1, p.hw.pipelines);
+  const GateDagScheduleResult b = schedule_batch(g, 1, p.hw.pipelines);
   EXPECT_EQ(b.makespan, single.makespan);
   ASSERT_EQ(b.gate_end.size(), 1u);
   EXPECT_EQ(b.gate_end[0], b.makespan);
@@ -330,7 +330,7 @@ TEST(BatchSchedule, EmptyBatch) {
   SimParams p;
   p.tfhe = kParams;
   const Dfg g = build_bootstrap_dfg(p);
-  const BatchScheduleResult b = schedule_batch(g, 0, p.hw.pipelines);
+  const GateDagScheduleResult b = schedule_batch(g, 0, p.hw.pipelines);
   EXPECT_EQ(b.makespan, 0);
   EXPECT_TRUE(b.gate_end.empty());
 }
@@ -492,8 +492,7 @@ TEST(GateDagSchedule, RejectsDepsOutsideTopologicalRange) {
   p.unroll_m = 1;
   const Dfg dfg = build_bootstrap_dfg(p);
   PartitionOptions opt;
-  opt.dfg = &dfg;
-  opt.pipelines = p.hw.pipelines;
+  opt.chips.assign(2, {p.hw.pipelines, &dfg});
   const auto bad_dep = [](int dep) {
     GateDag dag;
     dag.gates.resize(3);
@@ -510,11 +509,12 @@ TEST(GateDagSchedule, RejectsDepsOutsideTopologicalRange) {
     two.chip_of = {0, 1, 1};
     EXPECT_THROW(schedule_gate_dag(dfg, dag, p.hw.pipelines),
                  std::invalid_argument);
-    EXPECT_THROW(schedule_gate_dag_multichip(dfg, dag, two, p.hw.pipelines, 0),
+    EXPECT_THROW(schedule_gate_dag_multichip(dag, two, opt.chips, 0),
                  std::invalid_argument);
     EXPECT_THROW(partition_gate_dag(dag, 2), std::invalid_argument);
     EXPECT_THROW(partition_gate_dag(dag, 2, opt), std::invalid_argument);
     EXPECT_THROW((void)dag.critical_path_bootstraps(), std::invalid_argument);
+    EXPECT_THROW(replicate_gate_dag(dag, 2), std::invalid_argument);
   }
   // The same DAG with an in-range dep and pin is fine.
   GateDag ok = bad_dep(0);
