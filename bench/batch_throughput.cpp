@@ -192,15 +192,14 @@ void report_fusion(JsonWriter& j, const char* name, CircuitBuilder& builder) {
 
 /// The pre-batching sequential bootstrap, reconstructed as the baseline the
 /// fused path is measured against: per sample, every group materializes its
-/// 2l x 2 bundle spectra (build_bundle) and runs a plain external product --
-/// no zero-a skip, no test-vector spectrum reuse -- then extracts and key
-/// switches one sample at a time.
-void bootstrap_materialized_seq(const SimdFftEngine& eng,
-                                const DeviceBootstrapKey<SimdFftEngine>& bk,
-                                const KeySwitchKey& ks, Torus32 mu,
-                                const std::vector<LweSample>& xs,
-                                std::vector<LweSample>& outs,
-                                BootstrapWorkspace<SimdFftEngine>& ws) {
+/// 2l x 2 bundle spectra (build_bundle, over per-TGSW spectra of the cloud
+/// key) and runs a plain external product -- no zero-a skip, no test-vector
+/// spectrum reuse -- then extracts and key switches one sample at a time.
+void bootstrap_materialized_seq(
+    const SimdFftEngine& eng, const UnrolledBootstrapKey& key,
+    const std::vector<std::vector<TGswSpectral<SimdFftEngine>>>& groups,
+    const KeySwitchKey& ks, Torus32 mu, const std::vector<LweSample>& xs,
+    std::vector<LweSample>& outs, BootstrapWorkspace<SimdFftEngine>& ws) {
   const int n_ring = eng.ring_n();
   TorusPolynomial testv(n_ring);
   for (auto& c : testv.coeffs) c = mu;
@@ -212,11 +211,14 @@ void bootstrap_materialized_seq(const SimdFftEngine& eng,
     multiply_by_xpower(ws.testv_rot, testv, 2 * n_ring - barb);
     acc.a.clear();
     acc.b = ws.testv_rot;
-    for (int g = 0; g < bk.num_groups(); ++g) {
-      group_subset_exponents(x.a.data() + g * bk.unroll_m, bk.members(g),
+    for (int g = 0; g < key.num_groups(); ++g) {
+      group_subset_exponents(x.a.data() + g * key.unroll_m, key.members(g),
                              n_ring, ws.exponents);
-      if (!build_bundle(eng, bk, g, ws.exponents, ws.bundle)) continue;
-      external_product(eng, bk.gadget, ws.bundle, acc, ws.ep);
+      if (!build_bundle(eng, key.gadget, groups[static_cast<size_t>(g)],
+                        ws.exponents, ws.bundle)) {
+        continue;
+      }
+      external_product(eng, key.gadget, ws.bundle, acc, ws.ep);
     }
     sample_extract_into(acc, extracted);
     key_switch_into(ks, extracted, outs[s]);
@@ -329,6 +331,13 @@ int main() {
     for (const SimdLevel level : tiers) {
       SimdFftEngine teng(params.ring.n_ring, level);
       const auto bk = load_bootstrap_key(teng, cloud.bk);
+      std::vector<std::vector<TGswSpectral<SimdFftEngine>>> seq_groups;
+      for (const auto& group : cloud.bk.groups) {
+        seq_groups.emplace_back();
+        for (const TGswSample& raw : group) {
+          seq_groups.back().push_back(tgsw_to_spectral(teng, raw));
+        }
+      }
       BootstrapWorkspace<SimdFftEngine> ws(teng, params.gadget);
       KeySwitchWorkspace ks_ws;
       Rng srng(0xB007);
@@ -363,8 +372,9 @@ int main() {
       std::vector<Mode> modes;
       modes.push_back({"seq_pr6", 1,
                        [&] {
-                         bootstrap_materialized_seq(teng, bk, cloud.ks,
-                                                    params.mu(), xs, outs, ws);
+                         bootstrap_materialized_seq(teng, cloud.bk, seq_groups,
+                                                    cloud.ks, params.mu(), xs,
+                                                    outs, ws);
                        },
                        0.0});
       // Group-major batches (each flush streams the BSK once per batch);

@@ -113,19 +113,22 @@ void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out) {
   enc_eng.to_spectral_int(sk.tlwe.s, key_spec);
   Rng erng(37);
 
-  DeviceBootstrapKey<SimdFftEngine> bk;
-  bk.unroll_m = 2;
-  bk.n_lwe = 2;
-  bk.n_ring = kRingN;
-  bk.gadget = params.gadget;
-  bk.groups.resize(1);
-  for (int i = 0; i < 3; ++i) { // the group's 2^m - 1 subset indicators
-    const TGswSample raw =
-        tgsw_encrypt(enc_eng, sk.tlwe, key_spec, params.gadget, i == 0 ? 1 : 0,
-                     params.ring.sigma, erng);
-    bk.groups[0].push_back(tgsw_to_spectral(eng, raw));
+  UnrolledBootstrapKey cloud; // one group: the 2^m - 1 subset indicators
+  cloud.unroll_m = 2;
+  cloud.n_lwe = 2;
+  cloud.ring = params.ring;
+  cloud.gadget = params.gadget;
+  cloud.groups.resize(1);
+  for (int i = 0; i < 3; ++i) {
+    cloud.groups[0].push_back(tgsw_encrypt(enc_eng, sk.tlwe, key_spec,
+                                           params.gadget, i == 0 ? 1 : 0,
+                                           params.ring.sigma, erng));
   }
-  pack_bootstrap_key_soa(eng, bk); // hand-built key: fill the SoA arena
+  const auto bk = load_bootstrap_key(eng, cloud);
+  std::vector<TGswSpectral<SimdFftEngine>> group; // the materialized row's key
+  for (const TGswSample& raw : cloud.groups[0]) {
+    group.push_back(tgsw_to_spectral(eng, raw));
+  }
 
   BootstrapWorkspace<SimdFftEngine> ws(eng, params.gadget);
   const std::vector<int32_t> exponents{37, 911, 948}; // every subset active
@@ -134,7 +137,8 @@ void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out) {
   for (auto& c : acc.b.coeffs) c = erng.uniform_torus();
 
   out.push_back({"bundle_ep_materialized", path, time_ns_per_op([&] {
-                   (void)build_bundle(eng, bk, 0, exponents, ws.bundle);
+                   (void)build_bundle(eng, bk.gadget, group, exponents,
+                                      ws.bundle);
                    external_product(eng, bk.gadget, ws.bundle, acc, ws.ep);
                  }, 200)});
   BlindRotateState st;

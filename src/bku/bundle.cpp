@@ -90,36 +90,6 @@ void synth_testv_spectra(const SimdFftEngine& eng, GateTestvSpectra& tc,
 
 } // namespace
 
-void pack_bootstrap_key_soa(const SimdFftEngine& eng,
-                            DeviceBootstrapKey<SimdFftEngine>& dev) {
-  const int m = eng.spectral_size();
-  const int rows = 2 * dev.gadget.l;
-  const size_t mm = static_cast<size_t>(m);
-  size_t members = 0;
-  dev.soa_group_base.resize(dev.groups.size());
-  for (size_t g = 0; g < dev.groups.size(); ++g) {
-    dev.soa_group_base[g] = members;
-    members += dev.groups[g].size();
-  }
-  dev.soa_block_doubles = static_cast<size_t>(rows) * 4 * mm;
-  dev.soa.assign(members * dev.soa_block_doubles, 0.0);
-  for (size_t g = 0; g < dev.groups.size(); ++g) {
-    for (size_t idx = 0; idx < dev.groups[g].size(); ++idx) {
-      double* block = dev.soa.data() +
-                      (dev.soa_group_base[g] + idx) * dev.soa_block_doubles;
-      for (int r = 0; r < rows; ++r) {
-        double* row = block + static_cast<size_t>(r) * 4 * mm;
-        const auto& src = dev.groups[g][idx].rows[static_cast<size_t>(r)];
-        std::copy_n(src[0].re.data(), mm, row);
-        std::copy_n(src[0].im.data(), mm, row + mm);
-        std::copy_n(src[1].re.data(), mm, row + 2 * mm);
-        std::copy_n(src[1].im.data(), mm, row + 3 * mm);
-      }
-    }
-  }
-  dev.soa_m = m;
-}
-
 void bundle_rotate_step(const SimdFftEngine& eng,
                         const DeviceBootstrapKey<SimdFftEngine>& key, int g,
                         const std::vector<int32_t>& exponents, TLweSample& acc,
@@ -137,6 +107,7 @@ void bundle_rotate_step(const SimdFftEngine& eng,
   assert(ws.l == l && ws.n == eng.ring_n() && ws.m == m);
   const SpectralKernels& k = eng.kernels();
   const NegacyclicPlan& plan = eng.plan();
+  assert(key.soa_block_doubles == static_cast<size_t>(rows) * 4 * m);
 
   int32_t* planes[64];
   assert(rows <= 64);
@@ -191,8 +162,8 @@ void bundle_rotate_step(const SimdFftEngine& eng,
   }
   // Subset terms, fused: each subset's contribution is
   // f_S (*) sum_r d_r (*) BK_{S,r} per column (associativity of the
-  // pointwise product), so the 2l digit rows run gather-free dual-column
-  // MACs (mac2) into the sub-accumulators u0/u1, and the rotation factor
+  // pointwise product), so the 2l digit rows run one gather-free row-blocked
+  // MAC into the sub-accumulators sub_a/sub_b, and the rotation factor
   // f_S = X^{-c_S} - 1 (rot_factor: the only gathers in the step) is applied
   // by ONE further mac2 per subset -- versus 2l x 2 rotations per subset in
   // the materialized build_bundle path, whose bundle buffer is also never
@@ -204,25 +175,11 @@ void bundle_rotate_step(const SimdFftEngine& eng,
     if (c == 0) continue; // (X^0 - 1) = 0
     k.rot_factor(plan, ws.rotf.data(), ws.rotf.data() + m,
                  -static_cast<int64_t>(c));
-    if (key.soa_m == m) {
-      // Row-blocked subset MAC over the key's SoA block: the sub-accumulator
-      // planes stay in registers across all rows (mac2_rows overwrites them,
-      // so no clear either).
-      k.mac2_rows(m, r0, rows, ws.spec.data(), key.soa_block(g, idx),
-                  ws.sub_a.re.data(), ws.sub_a.im.data(), ws.sub_b.re.data(),
-                  ws.sub_b.im.data());
-    } else {
-      // Hand-assembled key without the arena: per-row dual-column MACs.
-      const auto& bk = key.groups[g][idx];
-      ws.sub_a.clear();
-      ws.sub_b.clear();
-      for (int r = r0; r < rows; ++r) {
-        k.mac2(m, ws.spec_re(r), ws.spec_im(r), bk.rows[r][0].re.data(),
-               bk.rows[r][0].im.data(), bk.rows[r][1].re.data(),
-               bk.rows[r][1].im.data(), ws.sub_a.re.data(), ws.sub_a.im.data(),
-               ws.sub_b.re.data(), ws.sub_b.im.data());
-      }
-    }
+    // The sub-accumulator planes stay in registers across all rows
+    // (mac2_rows overwrites them, so no clear either).
+    k.mac2_rows(m, r0, rows, ws.spec.data(), key.soa_block(g, idx),
+                ws.sub_a.re.data(), ws.sub_a.im.data(), ws.sub_b.re.data(),
+                ws.sub_b.im.data());
     k.mac2(m, ws.rotf.data(), ws.rotf.data() + m, ws.sub_a.re.data(),
            ws.sub_a.im.data(), ws.sub_b.re.data(), ws.sub_b.im.data(),
            ws.acc_a.re.data(), ws.acc_a.im.data(), ws.acc_b.re.data(),
@@ -233,17 +190,17 @@ void bundle_rotate_step(const SimdFftEngine& eng,
   st.pristine = false;
 }
 
-template bool build_bundle<DoubleFftEngine>(const DoubleFftEngine&,
-                                            const DeviceBootstrapKey<DoubleFftEngine>&,
-                                            int, const std::vector<int32_t>&,
-                                            TGswSpectral<DoubleFftEngine>&);
-template bool build_bundle<LiftFftEngine>(const LiftFftEngine&,
-                                          const DeviceBootstrapKey<LiftFftEngine>&,
-                                          int, const std::vector<int32_t>&,
-                                          TGswSpectral<LiftFftEngine>&);
-template bool build_bundle<SimdFftEngine>(const SimdFftEngine&,
-                                          const DeviceBootstrapKey<SimdFftEngine>&,
-                                          int, const std::vector<int32_t>&,
-                                          TGswSpectral<SimdFftEngine>&);
+template bool build_bundle<DoubleFftEngine>(
+    const DoubleFftEngine&, const GadgetParams&,
+    const std::vector<TGswSpectral<DoubleFftEngine>>&,
+    const std::vector<int32_t>&, TGswSpectral<DoubleFftEngine>&);
+template bool build_bundle<LiftFftEngine>(
+    const LiftFftEngine&, const GadgetParams&,
+    const std::vector<TGswSpectral<LiftFftEngine>>&,
+    const std::vector<int32_t>&, TGswSpectral<LiftFftEngine>&);
+template bool build_bundle<SimdFftEngine>(
+    const SimdFftEngine&, const GadgetParams&,
+    const std::vector<TGswSpectral<SimdFftEngine>>&,
+    const std::vector<int32_t>&, TGswSpectral<SimdFftEngine>&);
 
 } // namespace matcha

@@ -66,15 +66,16 @@ void set_gate_testv_digits(GateTestvSpectra& tc, Torus32 mu,
 void group_subset_exponents(const Torus32* a_group, int mg, int n_ring,
                             std::vector<int32_t>& out);
 
-/// Build the bundle for group `g` given the subset exponents. `bundle` must
-/// be pre-sized (2l rows x 2 cols of engine spectra). Returns false when all
-/// exponents are zero (bundle would be the identity H; caller can skip the
-/// external product entirely, as the TFHE library does for barai == 0).
+/// Build the bundle for one group from its spectral TGSWs (group[mask-1]
+/// encrypts ind_S for subset `mask`) given the subset exponents. `bundle`
+/// must be pre-sized (2l rows x 2 cols of engine spectra). Returns false when
+/// all exponents are zero (bundle would be the identity H; caller can skip
+/// the external product entirely, as the TFHE library does for barai == 0).
 template <class Engine>
-bool build_bundle(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
-                  int g, const std::vector<int32_t>& exponents,
+bool build_bundle(const Engine& eng, const GadgetParams& gadget,
+                  const std::vector<TGswSpectral<Engine>>& group,
+                  const std::vector<int32_t>& exponents,
                   TGswSpectral<Engine>& bundle) {
-  const auto& gadget = key.gadget;
   const int rows = 2 * gadget.l;
   bool any = false;
   for (int r = 0; r < rows; ++r) {
@@ -85,7 +86,7 @@ bool build_bundle(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
     const int32_t c = exponents[idx];
     if (c == 0) continue; // (X^0 - 1) = 0
     any = true;
-    const auto& bk = key.groups[g][idx];
+    const auto& bk = group[idx];
     for (int r = 0; r < rows; ++r) {
       // Blind rotation multiplies ACC by X^{+c}; rot_scale_add applies
       // (X^{-c} - 1), hence the negated exponent.
@@ -119,17 +120,17 @@ void bundle_rotate_step(const Engine& eng, const DeviceBootstrapKey<Engine>& key
                         ExternalProductWorkspace<Engine>& ws,
                         BlindRotateState& st, GateTestvSpectra* tc) {
   (void)tc; // spectral test-vector reuse is a fused-path (SIMD) optimization
-  if (!build_bundle(eng, key, g, exponents, bundle)) return;
+  if (!build_bundle(eng, key.gadget, key.groups[g], exponents, bundle)) return;
   external_product(eng, key.gadget, bundle, acc, ws, /*a_is_zero=*/st.pristine);
   st.pristine = false;
 }
 
 /// Fused bundle-MAC group step for the SIMD engine (bku/bundle.cpp): digit
-/// spectra of ACC once, then per active subset the 2l rows run gather-free
-/// dual-column MACs (mac2) into per-subset sub-accumulators and the
-/// rotation factor (X^{-c} - 1), materialized once by rot_factor, rotates
-/// the subset-sum into the accumulator with one further mac2; the gadget
-/// identity H folds into real scale_adds of the digit spectra.
+/// spectra of ACC once, then per active subset one row-blocked MAC
+/// (mac2_rows) over the subset's block of the key's `soa` arena into the
+/// sub-accumulators, and the rotation factor (X^{-c} - 1), materialized once
+/// by rot_factor, rotates the subset-sum into the accumulator with one mac2;
+/// the gadget identity H folds into real scale_adds of the digit spectra.
 /// On the pristine step the a-half vanishes (zero_fft_skips) and, when `tc`
 /// carries the constant gate test vector, the b-digit spectra synthesize
 /// from the cached F(ones) instead of running forward FFTs

@@ -60,7 +60,37 @@ template DeviceBootstrapKey<DoubleFftEngine> load_bootstrap_key<DoubleFftEngine>
     const DoubleFftEngine&, const UnrolledBootstrapKey&);
 template DeviceBootstrapKey<LiftFftEngine> load_bootstrap_key<LiftFftEngine>(
     const LiftFftEngine&, const UnrolledBootstrapKey&);
-template DeviceBootstrapKey<SimdFftEngine> load_bootstrap_key<SimdFftEngine>(
-    const SimdFftEngine&, const UnrolledBootstrapKey&);
+
+template <>
+DeviceBootstrapKey<SimdFftEngine> load_bootstrap_key<SimdFftEngine>(
+    const SimdFftEngine& eng, const UnrolledBootstrapKey& key) {
+  DeviceBootstrapKey<SimdFftEngine> dev;
+  dev.unroll_m = key.unroll_m;
+  dev.n_lwe = key.n_lwe;
+  dev.n_ring = key.ring.n_ring;
+  dev.gadget = key.gadget;
+  assert(key.num_groups() == dev.num_groups());
+  const size_t m = static_cast<size_t>(eng.spectral_size());
+  const int rows = 2 * key.gadget.l;
+  dev.soa_block_doubles = static_cast<size_t>(rows) * 4 * m;
+  dev.soa.resize(static_cast<size_t>(key.total_tgsw()) * dev.soa_block_doubles);
+  // Blocks in (group, member) order, the order soa_block addresses. Each row
+  // goes through the same forward kernel (and counter) as to_spectral_torus.
+  double* row = dev.soa.data();
+  for (int g = 0; g < key.num_groups(); ++g) {
+    const auto& group = key.groups[static_cast<size_t>(g)];
+    assert(group.size() == (size_t{1} << key.members(g)) - 1);
+    for (const TGswSample& tgsw : group) {
+      for (int r = 0; r < rows; ++r, row += 4 * m) {
+        const TLweSample& src = tgsw.rows[static_cast<size_t>(r)];
+        eng.forward_raw(reinterpret_cast<const int32_t*>(src.a.coeffs.data()),
+                        row, row + m);
+        eng.forward_raw(reinterpret_cast<const int32_t*>(src.b.coeffs.data()),
+                        row + 2 * m, row + 3 * m);
+      }
+    }
+  }
+  return dev;
+}
 
 } // namespace matcha

@@ -48,7 +48,9 @@ UnrolledBootstrapKey make_unrolled_bootstrap_key(const LweKey& lwe_key,
                                                  const GadgetParams& gadget,
                                                  int unroll_m, Rng& rng);
 
-/// Device-resident (spectral) form, templated on the evaluation engine.
+/// Device-resident (spectral) form, templated on the evaluation engine. Each
+/// engine fills exactly one layout: per-TGSW spectra in `groups` (DoubleFft/
+/// LiftFftEngine, read by build_bundle) or the arena `soa` (SimdFftEngine).
 template <class Engine>
 struct DeviceBootstrapKey {
   int unroll_m = 1;
@@ -57,43 +59,30 @@ struct DeviceBootstrapKey {
   GadgetParams gadget;
   std::vector<std::vector<TGswSpectral<Engine>>> groups;
 
-  /// Group-major streaming arena (SimdFftEngine only; empty otherwise): the
-  /// same key material as `groups`, repacked so each group member's 2l TGSW
-  /// rows form ONE contiguous block of row-stride 4m, each row laid out as
-  /// the four m-double planes [col0.re | col0.im | col1.re | col1.im]. The
-  /// fused bundle path's row-blocked MAC (SpectralKernels::mac2_rows) walks a
-  /// whole subset with two base pointers and constant strides, and a group's
-  /// batch-resident working set is exactly its members' blocks back to back.
+  /// Group-major streaming arena (SimdFftEngine only; empty otherwise): each
+  /// group member's 2l TGSW rows form ONE contiguous block of row-stride 4m,
+  /// each row laid out as the four m-double planes
+  /// [col0.re | col0.im | col1.re | col1.im]. The fused bundle path's
+  /// row-blocked MAC (SpectralKernels::mac2_rows) walks a whole subset with
+  /// two base pointers and constant strides, and a group's batch-resident
+  /// working set is exactly its members' blocks back to back.
   AlignedVector<double> soa;
-  size_t soa_block_doubles = 0;       ///< 2l * 4 * m per member block
-  std::vector<size_t> soa_group_base; ///< member-count prefix sums per group
-  int soa_m = 0;                      ///< plane slots m (0 = arena absent)
+  size_t soa_block_doubles = 0; ///< 2l * 4 * m per member block
 
+  /// Block of member `idx` of group g (every group holds 2^m - 1 members
+  /// except possibly the last).
   const double* soa_block(int g, size_t idx) const {
-    return soa.data() +
-           (soa_group_base[static_cast<size_t>(g)] + idx) * soa_block_doubles;
+    const size_t per_group = (size_t{1} << unroll_m) - 1;
+    return soa.data() + (g * per_group + idx) * soa_block_doubles;
   }
 
-  int num_groups() const { return static_cast<int>(groups.size()); }
+  int num_groups() const { return (n_lwe + unroll_m - 1) / unroll_m; }
   int members(int g) const {
     const int start = g * unroll_m;
     const int end = start + unroll_m;
     return (end <= n_lwe ? unroll_m : n_lwe - start);
   }
 };
-
-class SimdFftEngine;
-
-/// Fill the DeviceBootstrapKey SoA arena from its `groups` spectra. The
-/// generic overload is a no-op (interleaved-spectrum engines keep the arena
-/// empty and the fused path falls back to per-row MACs); the SimdFftEngine
-/// overload (bku/bundle.cpp) packs the planar spectra. load_bootstrap_key
-/// calls this automatically -- hand-built keys (tests, micro benches) call it
-/// directly after filling `groups`.
-template <class Engine>
-void pack_bootstrap_key_soa(const Engine&, DeviceBootstrapKey<Engine>&) {}
-void pack_bootstrap_key_soa(const SimdFftEngine& eng,
-                            DeviceBootstrapKey<SimdFftEngine>& dev);
 
 template <class Engine>
 DeviceBootstrapKey<Engine> load_bootstrap_key(const Engine& eng,
@@ -110,8 +99,15 @@ DeviceBootstrapKey<Engine> load_bootstrap_key(const Engine& eng,
       dev.groups[g].push_back(tgsw_to_spectral(eng, tgsw));
     }
   }
-  pack_bootstrap_key_soa(eng, dev);
   return dev;
 }
+
+class SimdFftEngine;
+
+/// The SIMD load (bku/unrolled_key.cpp) forward-transforms each cloud TGSW
+/// row straight into its `soa` block; `groups` stays empty.
+template <>
+DeviceBootstrapKey<SimdFftEngine> load_bootstrap_key<SimdFftEngine>(
+    const SimdFftEngine& eng, const UnrolledBootstrapKey& key);
 
 } // namespace matcha

@@ -402,15 +402,16 @@ UnrolledBootstrapKey read_bootstrap_key_impl(Source& src) {
         "matcha::io: UnrolledBootstrapKey group count disagrees with "
         "n_lwe / unroll_m"));
   }
-  // Each group holds at most 2^m - 1 TGSWs (the nonempty subsets of its
-  // secret-key bits), each of exactly (k+1)*l rows on this ring.
-  const int64_t max_per_group = (int64_t{1} << k.unroll_m) - 1;
+  // Group g holds exactly 2^{members(g)} - 1 TGSWs (one per nonempty subset
+  // of its secret-key bits), each of exactly (k+1)*l rows on this ring.
   const int64_t want_rows =
       (static_cast<int64_t>(k.ring.k) + 1) * k.gadget.l;
   k.groups.resize(groups);
-  for (auto& grp : k.groups) {
+  for (int g = 0; g < k.num_groups(); ++g) {
+    auto& grp = k.groups[static_cast<size_t>(g)];
     const uint32_t count = src.get<uint32_t>();
-    check_range(count, 0, max_per_group, "UnrolledBootstrapKey group size");
+    const int64_t want = (int64_t{1} << k.members(g)) - 1;
+    check_range(count, want, want, "UnrolledBootstrapKey group size");
     grp.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
       // Nested TGSWs are self-checked objects (the writer used a fresh sink),

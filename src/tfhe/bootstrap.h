@@ -6,7 +6,7 @@
 // offsets, without the key switch. The gate bootstrap is that primitive with
 // the cached constant test vector and K = 1; a sequential caller is a batch
 // of one. The TFHE library's CMux chain is kept only as a sequential
-// reference (the Fig. 1 CPU baseline, m == 1 keys only).
+// reference (the Fig. 1 CPU baseline; m == 1 keys, not the SIMD engine).
 #pragma once
 
 #include <stdexcept>
@@ -194,18 +194,18 @@ void bootstrap_batch(const Engine& eng, const DeviceBootstrapKey<Engine>& key,
 /// The TFHE library's gate bootstrap without the key switch, kept as the
 /// sequential CPU reference (Fig. 1, Table 1): one CMux per secret bit,
 /// ACC += BK_i (x) ((X^{a_i} - 1) ACC), skipping a_i == 0 so the identity
-/// path stays exact (no decomposition error). It needs one TGSW per secret
-/// bit, i.e. an m == 1 key, and throws std::invalid_argument otherwise.
-/// out may alias x.
+/// path stays exact (no decomposition error). It needs one spectral TGSW per
+/// secret bit (an m == 1 key, not on the SIMD engine) and throws
+/// std::invalid_argument otherwise. out may alias x.
 template <class Engine>
 void classic_bootstrap_wo_keyswitch_into(const Engine& eng,
                                          const DeviceBootstrapKey<Engine>& key,
                                          Torus32 mu, const LweSample& x,
                                          BootstrapWorkspace<Engine>& ws,
                                          LweSample& out) {
-  if (key.unroll_m != 1) {
+  if (key.groups.size() != static_cast<size_t>(key.n_lwe)) {
     throw std::invalid_argument(
-        "classic CMux bootstrap needs an m = 1 key (one TGSW per secret bit)");
+        "classic CMux bootstrap needs one spectral TGSW per secret bit");
   }
   const int n_ring = eng.ring_n();
   set_gate_testv(ws, mu, key.gadget);

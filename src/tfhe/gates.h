@@ -20,7 +20,7 @@ namespace matcha {
 /// executor, the functional bootstrap) runs the bundle datapath only.
 enum class BlindRotateMode {
   kBundle,      ///< spectral BKB construction + one EP per group (MATCHA)
-  kClassicCMux, ///< sequential TFHE-library CMux chain; m == 1 keys only
+  kClassicCMux, ///< sequential TFHE-library CMux chain; m == 1 keys, not SIMD
 };
 
 /// Cumulative per-kind latency decomposition (nanoseconds).

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "bku/bundle.h"
+#include "fft/simd_fft.h"
 #include "test_util.h"
 
 namespace matcha {
@@ -79,7 +82,7 @@ TEST(Bundle, AllZeroExponentsReportsIdentity) {
   const auto dev = load_bootstrap_key(K.deng, K.ck2.bk);
   auto bundle = make_bundle_storage(K.deng, K.params.gadget);
   const std::vector<int32_t> zeros(3, 0);
-  EXPECT_FALSE(build_bundle(K.deng, dev, 0, zeros, bundle));
+  EXPECT_FALSE(build_bundle(K.deng, dev.gadget, dev.groups[0], zeros, bundle));
 }
 
 TEST(Bundle, ActsAsXPowerRotationOnPhase) {
@@ -96,7 +99,7 @@ TEST(Bundle, ActsAsXPowerRotationOnPhase) {
     std::vector<int32_t> exps;
     group_subset_exponents(a, 2, n, exps);
     auto bundle = make_bundle_storage(eng, K.params.gadget);
-    ASSERT_TRUE(build_bundle(eng, dev, grp, exps, bundle));
+    ASSERT_TRUE(build_bundle(eng, dev.gadget, dev.groups[grp], exps, bundle));
 
     TorusPolynomial mu(n);
     mu.coeffs[0] = torus_fraction(1, 4);
@@ -133,7 +136,7 @@ TEST(Bundle, LiftEngineMatchesDoubleEngine) {
 
   auto run = [&](const auto& eng, const auto& dev) {
     auto bundle = make_bundle_storage(eng, K.params.gadget);
-    build_bundle(eng, dev, 7, exps, bundle);
+    build_bundle(eng, dev.gadget, dev.groups[7], exps, bundle);
     TLweSample acc = TLweSample::trivial(mu);
     ExternalProductWorkspace<std::decay_t<decltype(eng)>> ws(eng, K.params.gadget);
     external_product(eng, K.params.gadget, bundle, acc, ws);
@@ -152,6 +155,40 @@ TEST(DeviceKey, LoadPreservesShape) {
   EXPECT_EQ(dev.num_groups(), K.ck3.bk.num_groups());
   EXPECT_EQ(dev.groups[0].size(), 7u);
   EXPECT_EQ(dev.groups[0][0].rows_count(), 2 * K.params.gadget.l);
+}
+
+TEST(DeviceKey, SimdKeyIsTheArenaAlone) {
+  // The SIMD key holds one device copy: the group-major arena, whose block
+  // for (g, mask) carries the per-TGSW spectra row by row, bit for bit.
+  const auto& K = shared_keys();
+  const UnrolledBootstrapKey& cloud = K.ck2.bk;
+  const int rows = 2 * K.params.gadget.l;
+  for (const SimdLevel level : test::testable_levels()) {
+    SimdFftEngine eng(K.params.ring.n_ring, level);
+    const size_t m = static_cast<size_t>(eng.spectral_size());
+    const auto dev = load_bootstrap_key(eng, cloud);
+    EXPECT_TRUE(dev.groups.empty()) << simd_level_name(level);
+    EXPECT_EQ(dev.num_groups(), cloud.num_groups());
+    ASSERT_EQ(dev.soa.size(),
+              static_cast<size_t>(cloud.total_tgsw()) * rows * 4 * m);
+    const auto same = [m](const double* got, const AlignedVector<double>& w) {
+      return std::memcmp(got, w.data(), m * sizeof(double)) == 0;
+    };
+    int mismatches = 0;
+    for (int g = 0; g < cloud.num_groups(); ++g) {
+      for (size_t idx = 0; idx < cloud.groups[g].size(); ++idx) {
+        const auto spec = tgsw_to_spectral(eng, cloud.groups[g][idx]);
+        const double* row = dev.soa_block(g, idx);
+        for (int r = 0; r < rows; ++r, row += 4 * m) {
+          const auto& want = spec.rows[static_cast<size_t>(r)];
+          mismatches += !same(row, want[0].re) + !same(row + m, want[0].im) +
+                        !same(row + 2 * m, want[1].re) +
+                        !same(row + 3 * m, want[1].im);
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << simd_level_name(level);
+  }
 }
 
 } // namespace

@@ -26,18 +26,10 @@ using exec::SymWord;
 using exec::SymWordCircuits;
 using exec::Wire;
 using test::shared_keys;
+using test::testable_levels;
 
 bool same_sample(const LweSample& x, const LweSample& y) {
   return x.a == y.a && x.b == y.b;
-}
-
-std::vector<SimdLevel> testable_levels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  for (const SimdLevel lvl :
-       {SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kNeon}) {
-    if (simd_level_available(lvl)) levels.push_back(lvl);
-  }
-  return levels;
 }
 
 /// Encrypt `count` gate inputs at alternating decryptable phases.

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "fft/simd_fft.h"
 #include "test_util.h"
 
 namespace matcha {
@@ -107,7 +108,7 @@ TEST(GateChains, LongRandomCircuitStaysCorrect) {
   // noise bounded indefinitely (TFHE's unlimited-depth claim).
   const auto& K = shared_keys();
   Rng rng = test::test_rng(3);
-  const auto dk = load_device_keyset(K.deng, K.ck2.bk.unroll_m == 2 ? K.ck2 : K.ck2);
+  const auto dk = load_device_keyset(K.deng, K.ck2);
   auto ev = dk.make_evaluator(K.deng, K.params.mu());
   int plain = 1;
   LweSample enc = K.sk.encrypt_bit(plain, rng);
@@ -167,6 +168,19 @@ TEST(GateStats, ClassicModeRejectsUnrolledKey) {
   const auto dk = load_device_keyset(K.deng, K.ck2);
   auto ev = dk.make_evaluator(K.deng, K.params.mu(),
                               BlindRotateMode::kClassicCMux);
+  const LweSample a = K.sk.encrypt_bit(1, rng), b = K.sk.encrypt_bit(0, rng);
+  EXPECT_THROW((void)ev.gate_and(a, b), std::invalid_argument);
+}
+
+TEST(GateStats, ClassicModeRejectsSimdKey) {
+  // The SIMD key holds only its bundle arena, no per-bit spectral TGSW, so
+  // the classic chain must refuse even an m = 1 key on that engine.
+  const auto& K = shared_keys();
+  Rng rng = test::test_rng(7);
+  const SimdFftEngine eng(K.params.ring.n_ring);
+  const auto dk = load_device_keyset(eng, K.ck1);
+  auto ev =
+      dk.make_evaluator(eng, K.params.mu(), BlindRotateMode::kClassicCMux);
   const LweSample a = K.sk.encrypt_bit(1, rng), b = K.sk.encrypt_bit(0, rng);
   EXPECT_THROW((void)ev.gate_and(a, b), std::invalid_argument);
 }

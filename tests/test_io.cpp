@@ -78,6 +78,45 @@ TEST(Io, CloudKeysetRoundTripStillBootstraps) {
   }
 }
 
+/// Both the key reader and the keyset reader refuse `ck`'s bootstrapping key
+/// as out of range (write_* does not validate, so the bytes are well formed).
+void expect_bootstrap_key_rejected(const CloudKeyset& ck) {
+  std::stringstream bk_bytes;
+  write_bootstrap_key(bk_bytes, ck.bk);
+  const auto bk = try_read_bootstrap_key(bk_bytes);
+  ASSERT_FALSE(bk.ok());
+  EXPECT_EQ(bk.status().code(), StatusCode::kOutOfRange)
+      << bk.status().to_string();
+  std::stringstream ck_bytes;
+  write_cloud_keyset(ck_bytes, ck);
+  const auto read = try_read_cloud_keyset(ck_bytes);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kOutOfRange)
+      << read.status().to_string();
+}
+
+TEST(Io, BootstrapKeyWithShortGroupIsRejected) {
+  // Blind rotation reads all 2^m - 1 subset TGSWs of every group; a missing
+  // one would send a SIMD bootstrap one arena block past the key.
+  CloudKeyset ck = shared_keys().ck2;
+  ck.bk.groups.back().pop_back();
+  expect_bootstrap_key_rejected(ck);
+}
+
+TEST(Io, BootstrapKeyWithOversizedTailGroupIsRejected) {
+  // n = 3 at m = 2: the tail group covers one secret bit, so it holds
+  // exactly one TGSW, not the 2^m - 1 = 3 of a full group.
+  TfheParams p = TfheParams::test_small();
+  p.lwe.n = 3;
+  Rng rng = test::test_rng(8);
+  const SecretKeyset sk = SecretKeyset::generate(p, rng);
+  CloudKeyset ck = make_cloud_keyset(sk, 2, rng);
+  ASSERT_EQ(ck.bk.groups.size(), 2u);
+  ASSERT_EQ(ck.bk.groups[1].size(), 1u);
+  ck.bk.groups[1] = ck.bk.groups[0];
+  expect_bootstrap_key_rejected(ck);
+}
+
 TEST(Io, BadMagicThrows) {
   std::stringstream ss;
   ss.write("JUNKJUNKJUNK", 12);

@@ -23,6 +23,7 @@ using exec::BatchExecutor;
 using exec::BatchResult;
 using exec::CircuitBuilder;
 using exec::Wire;
+using test::testable_levels;
 
 IntPolynomial random_digits(Rng& rng, int n, int amp = 512) {
   IntPolynomial p(n);
@@ -34,17 +35,6 @@ TorusPolynomial random_torus(Rng& rng, int n) {
   TorusPolynomial p(n);
   for (auto& c : p.coeffs) c = rng.uniform_torus();
   return p;
-}
-
-/// The levels this host can actually run: scalar always, plus every vector
-/// tier the CPU can execute (an AVX-512 host tests avx2 AND avx512).
-std::vector<SimdLevel> testable_levels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  for (const SimdLevel lvl :
-       {SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kNeon}) {
-    if (simd_level_available(lvl)) levels.push_back(lvl);
-  }
-  return levels;
 }
 
 // ---- dispatch resolution --------------------------------------------------

@@ -3,7 +3,9 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
+#include "common/simd_dispatch.h"
 #include "fft/double_fft.h"
 #include "fft/lift_fft.h"
 #include "tfhe/keyset.h"
@@ -24,6 +26,17 @@ struct SharedKeys {
 inline const SharedKeys& shared_keys() {
   static const SharedKeys keys;
   return keys;
+}
+
+/// The SIMD levels this host can actually run: scalar always, plus every
+/// vector tier the CPU can execute (an AVX-512 host tests avx2 AND avx512).
+inline std::vector<SimdLevel> testable_levels() {
+  std::vector<SimdLevel> levels{SimdLevel::kScalar};
+  for (const SimdLevel lvl :
+       {SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kNeon}) {
+    if (simd_level_available(lvl)) levels.push_back(lvl);
+  }
+  return levels;
 }
 
 /// A fresh deterministic RNG per test (seeded by name hash would be overkill;
