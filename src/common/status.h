@@ -90,9 +90,9 @@ inline Status internal_status(std::string msg) {
   return Status(StatusCode::kInternal, std::move(msg));
 }
 
-/// The exception bridge: thrown by legacy throwing wrappers around
-/// Status-returning cores, and caught at layer boundaries to recover the
-/// structured Status it carries.
+/// The exception bridge: thrown where a failure is detected deep inside a
+/// layer (an io reader, graph construction, the executor), and caught at
+/// layer boundaries to recover the structured Status it carries.
 class StatusError : public std::runtime_error {
  public:
   explicit StatusError(Status status)

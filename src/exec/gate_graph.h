@@ -67,16 +67,16 @@ struct GateNode {
   }
 };
 
-/// Which passes compile() runs. Constant folding and LUT cone fusion rewrite
-/// ciphertexts (a folded gate skips its bootstrap; a fused cone replaces
-/// several bootstraps with one functional bootstrap -- output bits differ
-/// from an eager evaluation while the plaintexts agree); CSE and DCE are
-/// bit-preserving -- deduplicated gates recompute the identical
-/// deterministic bootstrap, and dead gates never feed an output.
+/// Which passes compile() runs besides common-subexpression elimination and
+/// dead-gate elimination (from marked outputs), which always run. Constant
+/// folding and LUT cone fusion rewrite ciphertexts (a folded gate skips its
+/// bootstrap; a fused cone replaces several bootstraps with one functional
+/// bootstrap -- output bits differ from an eager evaluation while the
+/// plaintexts agree); CSE and DCE are bit-preserving -- deduplicated gates
+/// recompute the identical deterministic bootstrap, and dead gates never feed
+/// an output.
 struct OptimizeOptions {
   bool fold_constants = true;
-  bool common_subexpression = true;
-  bool dead_gate_elimination = true;
   /// Collapse gate cones (fan-in <= kLutMaxFanIn, realizable truth table --
   /// see tfhe/lut.h) into one-bootstrap LUT nodes, choosing per-edge
   /// encodings (a producer may emit amplitude 1/16 when that makes its
@@ -100,18 +100,12 @@ struct OptimizeOptions {
   const TfheParams* noise_params = nullptr;
   int unroll_m = 2; ///< bootstrap unroll factor assumed by the noise budget
 
-  static OptimizeOptions none() {
-    OptimizeOptions o;
-    o.fold_constants = o.common_subexpression = o.dead_gate_elimination =
-        o.fuse_lut_cones = o.rebalance_chains = o.flatten_mux_trees =
-            o.pack_multi_output = false;
-    return o;
-  }
-  /// The bit-preserving subset: results identical to the unoptimized graph.
+  /// The bit-preserving subset, CSE and DCE only: results identical to the
+  /// unoptimized graph.
   static OptimizeOptions bit_preserving() {
-    OptimizeOptions o = none();
-    o.common_subexpression = true;
-    o.dead_gate_elimination = true;
+    OptimizeOptions o;
+    o.fold_constants = o.fuse_lut_cones = o.rebalance_chains =
+        o.flatten_mux_trees = o.pack_multi_output = false;
     return o;
   }
 };

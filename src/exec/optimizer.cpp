@@ -304,15 +304,13 @@ OptimizeStats fold_and_cse(const GateGraph& g, const OptimizeOptions& opts,
       std::swap(in[0], in[1]);
     }
     const CseKey key = make_cse_key(proto, in);
-    if (opts.common_subexpression) {
-      const auto it = seen.find(key);
-      if (it != seen.end()) {
-        ++stats.cse_hits;
-        return it->second;
-      }
+    const auto it = seen.find(key);
+    if (it != seen.end()) {
+      ++stats.cse_hits;
+      return it->second;
     }
     const int id = out.clone_gate(proto, in).id;
-    if (opts.common_subexpression) seen.emplace(key, id);
+    seen.emplace(key, id);
     return id;
   };
 
@@ -1575,9 +1573,8 @@ CompiledGraph CompiledGraph::compile(const GateGraph& g,
   }
   if (opts.fuse_lut_cones) {
     advance([&](const GateGraph& in, GateGraph& o, std::vector<int>& m) {
-      const bool dce_follows =
-          opts.dead_gate_elimination && !in.outputs().empty();
-      fuse_cones(in, o, m, c.stats, dce_follows, budgets, opts);
+      fuse_cones(in, o, m, c.stats, /*dce_follows=*/!in.outputs().empty(),
+                 budgets, opts);
     });
   }
   if (opts.pack_multi_output) {
@@ -1585,7 +1582,7 @@ CompiledGraph CompiledGraph::compile(const GateGraph& g,
       pack_multi_output(in, o, m, c.stats, budgets, opts);
     });
   }
-  if (opts.dead_gate_elimination && !cur->outputs().empty()) {
+  if (!cur->outputs().empty()) {
     std::vector<int> m;
     eliminate_dead(*cur, c.graph, m, c.stats);
     compose(total, m);

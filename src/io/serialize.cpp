@@ -224,7 +224,8 @@ void check_binary(const std::vector<int32_t>& s, const char* what) {
   }
 }
 
-TfheParams read_params_impl(Source& src) {
+TfheParams read_params_impl(std::istream& is) {
+  Source src{is};
   src.check_header(kMagicParams, "TfheParams");
   TfheParams p;
   p.lwe.n = src.get<int32_t>();
@@ -267,7 +268,8 @@ void write_params_impl(Sink& s, const TfheParams& p) {
   s.finish();
 }
 
-LweSample read_lwe_sample_impl(Source& src) {
+LweSample read_lwe_sample_impl(std::istream& is) {
+  Source src{is};
   src.check_header(kMagicLwe, "LweSample");
   LweSample c;
   src.get_vec_into(c.a, static_cast<uint64_t>(kMaxLweDim), "LweSample.a");
@@ -276,7 +278,8 @@ LweSample read_lwe_sample_impl(Source& src) {
   return c;
 }
 
-LweKey read_lwe_key_impl(Source& src) {
+LweKey read_lwe_key_impl(std::istream& is) {
+  Source src{is};
   src.check_header(kMagicLweKey, "LweKey");
   LweKey k;
   k.params.n = src.get<int32_t>();
@@ -293,7 +296,8 @@ LweKey read_lwe_key_impl(Source& src) {
   return k;
 }
 
-TLweKey read_tlwe_key_impl(Source& src) {
+TLweKey read_tlwe_key_impl(std::istream& is) {
+  Source src{is};
   src.check_header(kMagicTlweKey, "TLweKey");
   TLweKey k;
   k.params.n_ring = src.get<int32_t>();
@@ -315,7 +319,8 @@ TLweKey read_tlwe_key_impl(Source& src) {
 }
 
 /// TGSW rows with a caller-imposed ring size (-1: infer from row 0, bounded).
-TGswSample read_tgsw_impl(Source& src, int64_t n_ring) {
+TGswSample read_tgsw_impl(std::istream& is, int64_t n_ring = -1) {
+  Source src{is};
   src.check_header(kMagicTgsw, "TGswSample");
   TGswSample s;
   const uint32_t rows = src.get<uint32_t>();
@@ -337,7 +342,8 @@ TGswSample read_tgsw_impl(Source& src, int64_t n_ring) {
   return s;
 }
 
-KeySwitchKey read_keyswitch_key_impl(Source& src) {
+KeySwitchKey read_keyswitch_key_impl(std::istream& is) {
+  Source src{is};
   src.check_header(kMagicKs, "KeySwitchKey");
   KeySwitchKey k;
   k.params.basebit = src.get<int32_t>();
@@ -374,7 +380,8 @@ KeySwitchKey read_keyswitch_key_impl(Source& src) {
   return k;
 }
 
-UnrolledBootstrapKey read_bootstrap_key_impl(Source& src) {
+UnrolledBootstrapKey read_bootstrap_key_impl(std::istream& is) {
+  Source src{is};
   src.check_header(kMagicBk, "UnrolledBootstrapKey");
   UnrolledBootstrapKey k;
   k.unroll_m = src.get<int32_t>();
@@ -416,8 +423,7 @@ UnrolledBootstrapKey read_bootstrap_key_impl(Source& src) {
     for (uint32_t i = 0; i < count; ++i) {
       // Nested TGSWs are self-checked objects (the writer used a fresh sink),
       // so their bytes stay out of the outer object's checksum.
-      Source nested{src.is};
-      TGswSample t = read_tgsw_impl(nested, k.ring.n_ring);
+      TGswSample t = read_tgsw_impl(is, k.ring.n_ring);
       if (t.rows_count() != want_rows) {
         fail(out_of_range_status(
             "matcha::io: bootstrap-key TGSW row count disagrees with "
@@ -430,16 +436,43 @@ UnrolledBootstrapKey read_bootstrap_key_impl(Source& src) {
   return k;
 }
 
+SecretKeyset read_secret_keyset_impl(std::istream& is) {
+  Source src{is};
+  src.check_header(kMagicSecret, "SecretKeyset");
+  src.verify_checksum("SecretKeyset");
+  SecretKeyset sk;
+  sk.params = read_params_impl(is);
+  sk.lwe = read_lwe_key_impl(is);
+  sk.tlwe = read_tlwe_key_impl(is);
+  sk.extracted = sk.tlwe.extract_lwe_key();
+  return sk;
+}
+
+CloudKeyset read_cloud_keyset_impl(std::istream& is) {
+  Source src{is};
+  src.check_header(kMagicCloud, "CloudKeyset");
+  src.verify_checksum("CloudKeyset");
+  CloudKeyset ck;
+  ck.params = read_params_impl(is);
+  ck.bk = read_bootstrap_key_impl(is);
+  ck.ks = read_keyswitch_key_impl(is);
+  // Cross-object consistency: the keys must belong to the parameter set they
+  // arrived with, or downstream kernels index out of bounds.
+  if (ck.bk.n_lwe != ck.params.lwe.n ||
+      ck.bk.ring.n_ring != ck.params.ring.n_ring ||
+      ck.ks.n_out != ck.params.lwe.n ||
+      ck.ks.n_in != ck.params.ring.n_ring * ck.params.ring.k) {
+    fail(out_of_range_status(
+        "matcha::io: CloudKeyset keys disagree with its parameter set"));
+  }
+  return ck;
+}
+
 } // namespace
 
 void write_params(std::ostream& os, const TfheParams& p) {
   Sink s{os};
   write_params_impl(s, p);
-}
-
-TfheParams read_params(std::istream& is) {
-  Source src{is};
-  return read_params_impl(src);
 }
 
 void write_lwe_sample(std::ostream& os, const LweSample& c) {
@@ -450,11 +483,6 @@ void write_lwe_sample(std::ostream& os, const LweSample& c) {
   s.finish();
 }
 
-LweSample read_lwe_sample(std::istream& is) {
-  Source src{is};
-  return read_lwe_sample_impl(src);
-}
-
 void write_lwe_key(std::ostream& os, const LweKey& k) {
   Sink s{os};
   s.header(kMagicLweKey);
@@ -462,11 +490,6 @@ void write_lwe_key(std::ostream& os, const LweKey& k) {
   s.put(k.params.sigma);
   s.put_vec(k.s);
   s.finish();
-}
-
-LweKey read_lwe_key(std::istream& is) {
-  Source src{is};
-  return read_lwe_key_impl(src);
 }
 
 void write_tlwe_key(std::ostream& os, const TLweKey& k) {
@@ -479,22 +502,12 @@ void write_tlwe_key(std::ostream& os, const TLweKey& k) {
   s.finish();
 }
 
-TLweKey read_tlwe_key(std::istream& is) {
-  Source src{is};
-  return read_tlwe_key_impl(src);
-}
-
 void write_tgsw(std::ostream& os, const TGswSample& t) {
   Sink s{os};
   s.header(kMagicTgsw);
   s.put(static_cast<uint32_t>(t.rows.size()));
   for (const auto& row : t.rows) put_tlwe(s, row);
   s.finish();
-}
-
-TGswSample read_tgsw(std::istream& is) {
-  Source src{is};
-  return read_tgsw_impl(src, -1);
 }
 
 void write_keyswitch_key(std::ostream& os, const KeySwitchKey& k) {
@@ -509,11 +522,6 @@ void write_keyswitch_key(std::ostream& os, const KeySwitchKey& k) {
   s.put_vec(k.a_plane);
   s.put_vec(k.b_plane);
   s.finish();
-}
-
-KeySwitchKey read_keyswitch_key(std::istream& is) {
-  Source src{is};
-  return read_keyswitch_key_impl(src);
 }
 
 void write_bootstrap_key(std::ostream& os, const UnrolledBootstrapKey& k) {
@@ -537,11 +545,6 @@ void write_bootstrap_key(std::ostream& os, const UnrolledBootstrapKey& k) {
   s.finish();
 }
 
-UnrolledBootstrapKey read_bootstrap_key(std::istream& is) {
-  Source src{is};
-  return read_bootstrap_key_impl(src);
-}
-
 void write_secret_keyset(std::ostream& os, const SecretKeyset& sk) {
   Sink s{os};
   s.header(kMagicSecret);
@@ -549,18 +552,6 @@ void write_secret_keyset(std::ostream& os, const SecretKeyset& sk) {
   write_params(os, sk.params);
   write_lwe_key(os, sk.lwe);
   write_tlwe_key(os, sk.tlwe);
-}
-
-SecretKeyset read_secret_keyset(std::istream& is) {
-  Source src{is};
-  src.check_header(kMagicSecret, "SecretKeyset");
-  src.verify_checksum("SecretKeyset");
-  SecretKeyset sk;
-  sk.params = read_params(is);
-  sk.lwe = read_lwe_key(is);
-  sk.tlwe = read_tlwe_key(is);
-  sk.extracted = sk.tlwe.extract_lwe_key();
-  return sk;
 }
 
 void write_cloud_keyset(std::ostream& os, const CloudKeyset& ck) {
@@ -572,30 +563,12 @@ void write_cloud_keyset(std::ostream& os, const CloudKeyset& ck) {
   write_keyswitch_key(os, ck.ks);
 }
 
-CloudKeyset read_cloud_keyset(std::istream& is) {
-  Source src{is};
-  src.check_header(kMagicCloud, "CloudKeyset");
-  src.verify_checksum("CloudKeyset");
-  CloudKeyset ck;
-  ck.params = read_params(is);
-  ck.bk = read_bootstrap_key(is);
-  ck.ks = read_keyswitch_key(is);
-  // Cross-object consistency: the keys must belong to the parameter set they
-  // arrived with, or downstream kernels index out of bounds.
-  if (ck.bk.n_lwe != ck.params.lwe.n ||
-      ck.bk.ring.n_ring != ck.params.ring.n_ring ||
-      ck.ks.n_out != ck.params.lwe.n ||
-      ck.ks.n_in != ck.params.ring.n_ring * ck.params.ring.k) {
-    fail(out_of_range_status(
-        "matcha::io: CloudKeyset keys disagree with its parameter set"));
-  }
-  return ck;
-}
-
+// The exception-to-Status bridge: the readers report malformed input by
+// throwing StatusError, and only these entry points are public.
 #define MATCHA_IO_TRY(T, name)                        \
   StatusOr<T> try_##name(std::istream& is) {          \
     try {                                             \
-      return name(is);                                \
+      return name##_impl(is);                         \
     } catch (...) {                                   \
       return status_from_exception(StatusCode::kInternal); \
     }                                                 \

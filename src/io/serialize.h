@@ -10,14 +10,13 @@
 // every field a reader decodes is bounds-checked BEFORE it sizes an
 // allocation or indexes a buffer, so a hostile blob can provoke a structured
 // error but never UB or an absurd allocation. The try_read_* entry points
-// return StatusOr and never throw on malformed input:
+// are the only readers; they return StatusOr and never throw on malformed
+// input:
 //   kInvalidArgument     bad magic (not this object / not our format)
 //   kFailedPrecondition  version skew
 //   kDataLoss            truncation or checksum mismatch
 //   kOutOfRange          a decoded dimension fails its sanity bound
-// The legacy read_* wrappers throw StatusError (a std::runtime_error)
-// carrying the same Status. Write failures throw StatusError on stream
-// errors, as before.
+// Write failures throw StatusError (a std::runtime_error) on stream errors.
 #pragma once
 
 #include <iosfwd>
@@ -29,39 +28,30 @@
 namespace matcha::io {
 
 void write_params(std::ostream& os, const TfheParams& p);
-TfheParams read_params(std::istream& is);
 StatusOr<TfheParams> try_read_params(std::istream& is);
 
 void write_lwe_sample(std::ostream& os, const LweSample& c);
-LweSample read_lwe_sample(std::istream& is);
 StatusOr<LweSample> try_read_lwe_sample(std::istream& is);
 
 void write_lwe_key(std::ostream& os, const LweKey& k);
-LweKey read_lwe_key(std::istream& is);
 StatusOr<LweKey> try_read_lwe_key(std::istream& is);
 
 void write_tlwe_key(std::ostream& os, const TLweKey& k);
-TLweKey read_tlwe_key(std::istream& is);
 StatusOr<TLweKey> try_read_tlwe_key(std::istream& is);
 
 void write_tgsw(std::ostream& os, const TGswSample& s);
-TGswSample read_tgsw(std::istream& is);
 StatusOr<TGswSample> try_read_tgsw(std::istream& is);
 
 void write_keyswitch_key(std::ostream& os, const KeySwitchKey& k);
-KeySwitchKey read_keyswitch_key(std::istream& is);
 StatusOr<KeySwitchKey> try_read_keyswitch_key(std::istream& is);
 
 void write_bootstrap_key(std::ostream& os, const UnrolledBootstrapKey& k);
-UnrolledBootstrapKey read_bootstrap_key(std::istream& is);
 StatusOr<UnrolledBootstrapKey> try_read_bootstrap_key(std::istream& is);
 
 void write_secret_keyset(std::ostream& os, const SecretKeyset& sk);
-SecretKeyset read_secret_keyset(std::istream& is);
 StatusOr<SecretKeyset> try_read_secret_keyset(std::istream& is);
 
 void write_cloud_keyset(std::ostream& os, const CloudKeyset& ck);
-CloudKeyset read_cloud_keyset(std::istream& is);
 StatusOr<CloudKeyset> try_read_cloud_keyset(std::istream& is);
 
 } // namespace matcha::io

@@ -1,7 +1,5 @@
 #include "sim/chip_sim.h"
 
-#include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -112,49 +110,27 @@ int64_t lwe_transfer_cycles(const SimParams& p) {
 } // namespace
 
 MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
-                                              const GateDag& dag,
-                                              const std::vector<ChipSpec>& chips,
+                                              int unroll_m, const GateDag& dag,
+                                              int num_chips,
                                               const hw::MatchaConfig& cfg) {
-  if (chips.empty()) {
+  if (num_chips <= 0) {
     throw std::invalid_argument(
-        "simulate_circuit_multichip: at least one ChipSpec required");
+        "simulate_circuit_multichip: num_chips must be positive");
   }
-  const int num_chips = static_cast<int>(chips.size());
-  SimParams p0;
-  p0.hw = cfg;
-  p0.tfhe = tfhe;
-  p0.unroll_m = chips.front().unroll_m;
+  SimParams p;
+  p.hw = cfg;
+  p.tfhe = tfhe;
+  p.unroll_m = unroll_m;
 
-  // The true per-chip cycle model drives the refinement: each chip bakes its
-  // own unroll m into its blind-rotation DFG (chips with the same m share
-  // one); the clock and link come from the shared cfg. Unequal chips also
-  // get capacity shares proportional to measured bootstrap throughput (load
-  // caps scale with each chip's speed); identical chips need none.
-  std::map<int, Dfg> dfgs; // by unroll m
-  PartitionOptions opt;
-  const bool identical =
-      std::equal(chips.begin() + 1, chips.end(), chips.begin());
-  int64_t max_latency = 0;
-  for (const ChipSpec& spec : chips) {
-    auto [dfg, fresh] = dfgs.try_emplace(spec.unroll_m);
-    if (fresh) {
-      SimParams p = p0;
-      p.unroll_m = spec.unroll_m;
-      dfg->second = build_bootstrap_dfg(p);
-    }
-    const BootstrapProfile profile = profile_bootstrap(dfg->second);
-    opt.chips.push_back(ChipResources{spec.pipelines, &dfg->second});
-    if (!identical) {
-      opt.chip_capacity.push_back(1.0 /
-                                  profile.steady_interval(spec.pipelines));
-    }
-    max_latency = std::max(max_latency, profile.latency);
-  }
-  opt.transfer_cycles = lwe_transfer_cycles(p0);
-
-  const GateDagPartition part = partition_gate_dag(dag, num_chips, opt);
+  // The true cycle model drives the refinement: every chip replays the same
+  // per-bootstrap DFG; the clock and link come from cfg.
+  const Dfg dfg = build_bootstrap_dfg(p);
+  const ChipResources chip{cfg.pipelines, &dfg};
+  const int64_t transfer_cycles = lwe_transfer_cycles(p);
+  const GateDagPartition part =
+      partition_gate_dag(dag, num_chips, chip, transfer_cycles);
   const MultiChipScheduleResult s =
-      schedule_gate_dag_multichip(dag, part, opt.chips, opt.transfer_cycles);
+      schedule_gate_dag_multichip(dag, part, chip, transfer_cycles);
 
   MultiChipSimResult out;
   out.num_chips = num_chips;
@@ -162,13 +138,13 @@ MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
   out.total_bootstraps = dag.total_bootstraps();
   out.cut_wires = s.cut_wires;
   out.transfers = s.transfers;
-  out.transfer_cycles = opt.transfer_cycles;
-  out.time_ms = s.makespan / p0.cycles_per_second() * 1e3;
-  out.transfer_busy_ms = s.transfer_busy_cycles / p0.cycles_per_second() * 1e3;
+  out.transfer_cycles = transfer_cycles;
+  out.time_ms = s.makespan / p.cycles_per_second() * 1e3;
+  out.transfer_busy_ms = s.transfer_busy_cycles / p.cycles_per_second() * 1e3;
   out.link_utilization = s.link_utilization;
   out.chip_occupancy = s.chip_occupancy;
   out.chip_bootstraps = part.chip_bootstraps;
-  out.time_greedy_ms = part.baseline_makespan / p0.cycles_per_second() * 1e3;
+  out.time_greedy_ms = part.baseline_makespan / p.cycles_per_second() * 1e3;
   out.refine_gain =
       part.baseline_makespan > 0
           ? 1.0 - static_cast<double>(s.makespan) / part.baseline_makespan
@@ -177,27 +153,12 @@ MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
       s.makespan < part.baseline_makespan ? "latency-aware" : "greedy-kl";
   if (out.time_ms > 0) {
     const double gate_latency_ms =
-        max_latency / p0.cycles_per_second() * 1e3;
+        schedule(dfg).makespan / p.cycles_per_second() * 1e3;
     out.effective_parallelism =
         out.total_bootstraps * gate_latency_ms / out.time_ms;
     out.bootstraps_per_s = out.total_bootstraps / (out.time_ms * 1e-3);
   }
   return out;
-}
-
-MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
-                                              int unroll_m, const GateDag& dag,
-                                              int num_chips,
-                                              const hw::MatchaConfig& cfg) {
-  if (num_chips <= 0) {
-    throw std::invalid_argument(
-        "simulate_circuit_multichip: num_chips must be positive");
-  }
-  return simulate_circuit_multichip(
-      tfhe, dag,
-      std::vector<ChipSpec>(static_cast<size_t>(num_chips),
-                            ChipSpec{cfg.pipelines, unroll_m}),
-      cfg);
 }
 
 BatchPolicySimResult simulate_batch_policy(const TfheParams& tfhe, int unroll_m,

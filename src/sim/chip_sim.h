@@ -70,30 +70,12 @@ struct MultiChipSimResult {
   std::string partition_source; ///< "greedy-kl" or "latency-aware"
 };
 
-/// One chip of a fleet: its pipeline count and blind-rotation unroll factor
-/// (each chip runs its own per-bootstrap DFG).
-struct ChipSpec {
-  int pipelines = 1;
-  int unroll_m = 1;
-
-  bool operator==(const ChipSpec&) const = default;
-};
-
-/// Shard the circuit DAG across a chip fleet (partition_gate_dag) and
-/// schedule it with per-chip pipelines/poly/HBM resources, each chip
-/// replaying its own DFG; cross-chip wires ride a cfg.interchip_gbps link,
-/// one LWE ciphertext per transfer. A fleet of unequal chips weights each
-/// chip's load cap by its measured bootstrap throughput (1 / steady
-/// interval); identical chips get no caps beyond the true schedule itself.
-/// `cfg.pipelines` is ignored; chips[] rules. With one chip the makespan
-/// equals simulate_circuit's.
-MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
-                                              const GateDag& dag,
-                                              const std::vector<ChipSpec>& chips,
-                                              const hw::MatchaConfig& cfg = {});
-
-/// The identical fleet of `num_chips` chips, each {cfg.pipelines, unroll_m}.
-/// Throws std::invalid_argument when num_chips <= 0.
+/// Shard the circuit DAG across `num_chips` identical chips, each with
+/// cfg.pipelines pipelines replaying the unroll_m per-bootstrap DFG
+/// (partition_gate_dag), and schedule it with per-chip pipelines/poly/HBM
+/// resources; cross-chip wires ride a cfg.interchip_gbps link, one LWE
+/// ciphertext per transfer. With one chip the makespan equals
+/// simulate_circuit's. Throws std::invalid_argument when num_chips <= 0.
 MultiChipSimResult simulate_circuit_multichip(const TfheParams& tfhe,
                                               int unroll_m, const GateDag& dag,
                                               int num_chips,

@@ -36,6 +36,13 @@ void require_topological(const GateDag& dag, const char* who) {
   }
 }
 
+void require_chip(const ChipResources& chip, const char* who) {
+  if (chip.dfg == nullptr || chip.pipelines <= 0) {
+    throw std::invalid_argument(std::string(who) +
+                                ": the chip needs a DFG and positive pipelines");
+  }
+}
+
 } // namespace
 
 int64_t GateDag::total_bootstraps() const {
@@ -91,6 +98,35 @@ int64_t count_cut(const GateDag& dag, const std::vector<int>& chip_of) {
   return cut;
 }
 
+} // namespace
+
+GateDagPartition summarize_partition(const GateDag& dag, int num_chips,
+                                     std::vector<int> chip_of) {
+  if (num_chips <= 0 || chip_of.size() != dag.gates.size()) {
+    throw std::invalid_argument(
+        "summarize_partition: partition does not match the DAG");
+  }
+  GateDagPartition part;
+  part.num_chips = num_chips;
+  part.chip_bootstraps.assign(static_cast<size_t>(num_chips), 0);
+  std::vector<char> seen(static_cast<size_t>(num_chips), 0);
+  for (size_t i = 0; i < chip_of.size(); ++i) {
+    const int c = chip_of[i];
+    if (c < 0 || c >= num_chips) {
+      throw std::invalid_argument("summarize_partition: chip id out of range");
+    }
+    part.chip_bootstraps[static_cast<size_t>(c)] += dag.gates[i].bootstraps;
+    seen[static_cast<size_t>(c)] = 1;
+  }
+  part.used_chips = static_cast<int>(
+      std::count(seen.begin(), seen.end(), static_cast<char>(1)));
+  part.cut_wires = count_cut(dag, chip_of);
+  part.chip_of = std::move(chip_of);
+  return part;
+}
+
+namespace {
+
 std::vector<std::vector<int>> user_lists(const GateDag& dag) {
   std::vector<std::vector<int>> users(dag.gates.size());
   for (size_t i = 0; i < dag.gates.size(); ++i) {
@@ -108,8 +144,7 @@ std::vector<std::vector<int>> user_lists(const GateDag& dag) {
 /// all edges monotone (operands <= lo <= new chip <= hi <= consumers).
 void snap_pinned_nodes(const GateDag& dag,
                        const std::vector<std::vector<int>>& users,
-                       int effective_chips, std::vector<int>& chip_of,
-                       std::vector<int64_t>& load) {
+                       int effective_chips, std::vector<int>& chip_of) {
   for (size_t i = 0; i < dag.gates.size(); ++i) {
     const GateDagNode& g = dag.gates[i];
     if (g.pin < 0) continue;
@@ -117,41 +152,21 @@ void snap_pinned_nodes(const GateDag& dag,
     for (const int d : g.deps) lo = std::max(lo, chip_of[static_cast<size_t>(d)]);
     for (const int u : users[i]) hi = std::min(hi, chip_of[static_cast<size_t>(u)]);
     if (lo > hi) continue; // already-inconsistent input; leave untouched
-    const int target =
-        std::clamp(chip_of[static_cast<size_t>(g.pin)], lo, hi);
-    const int cur = chip_of[i];
-    if (target == cur) continue;
-    chip_of[i] = target;
-    load[static_cast<size_t>(cur)] -= g.bootstraps;
-    load[static_cast<size_t>(target)] += g.bootstraps;
+    chip_of[i] = std::clamp(chip_of[static_cast<size_t>(g.pin)], lo, hi);
   }
 }
 
-/// The partition search behind both partition_gate_dag overloads: seed,
-/// refinement (true-schedule descent with a chip fleet, greedy-KL without),
-/// and optionally the wire-node snap.
+/// The partition search behind both partition_gate_dag overloads: the prefix
+/// seed, then with a chip the true-schedule descent and the wire-node snap,
+/// without one greedy-KL under a balanced load cap.
 GateDagPartition search_partition(const GateDag& dag, int num_chips,
-                                  const PartitionOptions& opt,
-                                  bool pin_wire_nodes) {
+                                  const ChipResources* chip,
+                                  int64_t transfer_cycles) {
   if (num_chips <= 0) {
     throw std::invalid_argument("partition_gate_dag: num_chips must be positive");
   }
   require_topological(dag, "partition_gate_dag");
-  if (!opt.chip_capacity.empty() &&
-      static_cast<int>(opt.chip_capacity.size()) != num_chips) {
-    throw std::invalid_argument(
-        "partition_gate_dag: chip_capacity size must match num_chips");
-  }
   const int n = static_cast<int>(dag.gates.size());
-  GateDagPartition part;
-  part.num_chips = num_chips;
-  part.chip_of.assign(static_cast<size_t>(n), 0);
-  part.chip_bootstraps.assign(static_cast<size_t>(num_chips), 0);
-  part.chip_load_cap.assign(static_cast<size_t>(num_chips), 0);
-  if (n == 0) {
-    part.used_chips = 0;
-    return part;
-  }
 
   int64_t total_w = 0;
   int64_t max_w = 0;
@@ -166,71 +181,28 @@ GateDagPartition search_partition(const GateDag& dag, int num_chips,
   // refinement below confines itself to the first `effective` chips.
   const int effective =
       std::min(num_chips, std::max(1, weighted_nodes));
-
-  // Per-chip capacity shares over the effective chips (homogeneous when the
-  // caller gave none). Load caps scale with the share: a chip with twice the
-  // pipelines absorbs twice the bootstraps before refinement stops filling it.
-  std::vector<double> share(static_cast<size_t>(effective),
-                            1.0 / effective);
-  if (!opt.chip_capacity.empty()) {
-    double sum = 0;
-    for (int c = 0; c < effective; ++c) {
-      if (opt.chip_capacity[static_cast<size_t>(c)] < 0) {
-        throw std::invalid_argument(
-            "partition_gate_dag: chip_capacity must be nonnegative");
-      }
-      sum += opt.chip_capacity[static_cast<size_t>(c)];
-    }
-    if (sum <= 0) {
-      throw std::invalid_argument(
-          "partition_gate_dag: chip_capacity must have positive total");
-    }
-    for (int c = 0; c < effective; ++c) {
-      share[static_cast<size_t>(c)] =
-          opt.chip_capacity[static_cast<size_t>(c)] / sum;
-    }
-  }
-  // True-cycle-model refinement available? Then the schedule itself is the
-  // objective and the guard against overloading a chip; homogeneous load
-  // caps would only forbid profitable imbalance (a chip finishing the tail
-  // alone while the rest sit idle is *faster* than forced balance). Explicit
-  // heterogeneous capacities stay binding either way.
-  const bool true_model = !opt.chips.empty();
-  const bool loose_caps = true_model && opt.chip_capacity.empty();
-  for (int c = 0; c < effective; ++c) {
-    part.chip_load_cap[static_cast<size_t>(c)] =
-        loose_caps
-            ? total_w
-            : static_cast<int64_t>(total_w * share[static_cast<size_t>(c)] +
-                                   0.5) +
-                  max_w;
-  }
+  // One effective chip's equal share of the bootstraps, rounded.
+  const int64_t fair_load =
+      static_cast<int64_t>(total_w * (1.0 / effective) + 0.5);
 
   const std::vector<std::vector<int>> users = user_lists(dag);
 
-  // Seed: capacity-weighted contiguous blocks of the topological order.
-  // Chip ids are nondecreasing in the gate index, so every dependence edge
-  // is chip-monotone.
+  // Seed: balanced contiguous blocks of the topological order. Chip ids are
+  // nondecreasing in the gate index, so every dependence edge is
+  // chip-monotone.
   std::vector<int> chip_of(static_cast<size_t>(n), 0);
   if (effective > 1 && total_w > 0) {
     int64_t prefix = 0;
     int c = 0;
-    int64_t threshold = static_cast<int64_t>(total_w * share[0] + 0.5);
+    int64_t threshold = fair_load;
     for (int i = 0; i < n; ++i) {
       while (c < effective - 1 && prefix >= threshold) {
         ++c;
-        threshold += static_cast<int64_t>(
-            total_w * share[static_cast<size_t>(c)] + 0.5);
+        threshold += fair_load;
       }
       chip_of[static_cast<size_t>(i)] = c;
       prefix += dag.gates[static_cast<size_t>(i)].bootstraps;
     }
-  }
-
-  std::vector<int64_t> load(static_cast<size_t>(num_chips), 0);
-  for (int i = 0; i < n; ++i) {
-    load[static_cast<size_t>(chip_of[static_cast<size_t>(i)])] +=
-        dag.gates[static_cast<size_t>(i)].bootstraps;
   }
 
   // ---- With a cycle model: makespan descent (round 2) ----
@@ -240,8 +212,12 @@ GateDagPartition search_partition(const GateDag& dag, int num_chips,
   // move sets, both monotone by construction: (a) coordinate descent on the
   // topological prefix boundaries -- bulk re-splits that single-gate moves
   // cannot reach across makespan plateaus -- then (b) a single-gate polish
-  // within each gate's [max dep chip, min user chip] window.
-  if (true_model && effective > 1 && n > 1) {
+  // within each gate's [max dep chip, min user chip] window. No load cap
+  // applies: the schedule itself is the objective and the guard against
+  // overloading a chip, and a cap would only forbid profitable imbalance (a
+  // chip finishing the tail alone while the rest sit idle is *faster* than
+  // forced balance).
+  if (chip != nullptr && effective > 1 && n > 1) {
     // Each candidate costs a full schedule (O(bootstraps * DFG nodes)), so
     // the search budget shrinks with DAG size; small latency-critical
     // circuits -- where refinement matters most -- get the full sweep.
@@ -266,21 +242,14 @@ GateDagPartition search_partition(const GateDag& dag, int num_chips,
         if (hit != memo.end()) return hit->second;
       }
       probe.chip_of = candidate;
-      const int64_t t = schedule_gate_dag_multichip(dag, probe, opt.chips,
-                                                    opt.transfer_cycles)
-                            .makespan;
+      const int64_t t =
+          schedule_gate_dag_multichip(dag, probe, *chip, transfer_cycles)
+              .makespan;
       if (memoise) memo.emplace(key, t);
       return t;
     };
 
-    // Prefix-weight array: W[i] = total bootstraps of gates [0, i).
-    std::vector<int64_t> prefix_w(static_cast<size_t>(n) + 1, 0);
-    for (int i = 0; i < n; ++i) {
-      prefix_w[static_cast<size_t>(i) + 1] =
-          prefix_w[static_cast<size_t>(i)] +
-          dag.gates[static_cast<size_t>(i)].bootstraps;
-    }
-    // Seed boundaries from the (capacity-weighted, contiguous) prefix seed:
+    // Seed boundaries from the (balanced, contiguous) prefix seed:
     // bounds[b] = first gate index assigned past chip b (the seed's chip_of
     // is nondecreasing in the gate index).
     std::vector<int> bounds(static_cast<size_t>(effective) - 1, n);
@@ -302,20 +271,6 @@ GateDagPartition search_partition(const GateDag& dag, int num_chips,
       }
       return co;
     };
-    const auto bounds_feasible = [&](const std::vector<int>& b) {
-      if (loose_caps) return true;
-      int prev = 0;
-      for (int c = 0; c < effective; ++c) {
-        const int end = c == effective - 1 ? n : b[static_cast<size_t>(c)];
-        if (end < prev) return false;
-        if (prefix_w[static_cast<size_t>(end)] -
-                prefix_w[static_cast<size_t>(prev)] >
-            part.chip_load_cap[static_cast<size_t>(c)])
-          return false;
-        prev = end;
-      }
-      return true;
-    };
 
     int64_t best = true_makespan(chips_from_bounds(bounds));
     // Coordinate descent: sweep every feasible position of one boundary at a
@@ -333,7 +288,6 @@ GateDagPartition search_partition(const GateDag& dag, int num_chips,
           if (pos == bounds[static_cast<size_t>(bi)]) return;
           std::vector<int> b2 = bounds;
           b2[static_cast<size_t>(bi)] = pos;
-          if (!bounds_feasible(b2)) return;
           const int64_t t = true_makespan(chips_from_bounds(b2));
           if (t < best) {
             best = t;
@@ -356,11 +310,6 @@ GateDagPartition search_partition(const GateDag& dag, int num_chips,
       }
     }
     chip_of = chips_from_bounds(bounds);
-    std::fill(load.begin(), load.end(), 0);
-    for (int i = 0; i < n; ++i) {
-      load[static_cast<size_t>(chip_of[static_cast<size_t>(i)])] +=
-          dag.gates[static_cast<size_t>(i)].bootstraps;
-    }
 
     // Single-gate polish against the true schedule.
     for (int pass = 0; pass < 3 && evals < kEvalBudget; ++pass) {
@@ -375,16 +324,11 @@ GateDagPartition search_partition(const GateDag& dag, int num_chips,
         }
         for (int c2 = lo; c2 <= hi && evals < kEvalBudget; ++c2) {
           if (c2 == chip_of[static_cast<size_t>(v)]) continue;
-          if (load[static_cast<size_t>(c2)] + g.bootstraps >
-              part.chip_load_cap[static_cast<size_t>(c2)])
-            continue;
           const int keep = chip_of[static_cast<size_t>(v)];
           chip_of[static_cast<size_t>(v)] = c2;
           const int64_t t = true_makespan(chip_of);
           if (t < best) {
             best = t;
-            load[static_cast<size_t>(keep)] -= g.bootstraps;
-            load[static_cast<size_t>(c2)] += g.bootstraps;
             polished = true;
           } else {
             chip_of[static_cast<size_t>(v)] = keep;
@@ -395,19 +339,33 @@ GateDagPartition search_partition(const GateDag& dag, int num_chips,
     }
   }
 
+  // Wire-node anchoring: NOT/kFreeOr nodes ride with the rotation that
+  // feeds them, so their outputs never pay a transfer away from their anchor
+  // and multi-output bundles stay priced once.
+  if (chip != nullptr) {
+    snap_pinned_nodes(dag, users, effective, chip_of);
+  }
+
   // No cycle model: PR-4 greedy-KL refinement of the cut. Move one gate at
   // a time to an adjacent chip when that strictly reduces the number of cut
   // edges, never violating edge monotonicity (the move stays within [max dep
-  // chip, min user chip]) nor the per-chip load cap. Moves are applied
-  // immediately; passes repeat until a fixed point.
-  if (!true_model && effective > 1 && n > 1) {
-    const auto cross = [&](int v, int chip) {
+  // chip, min user chip]) nor the balanced load cap of one fair share plus
+  // one max-gate weight. Moves are applied immediately; passes repeat until
+  // a fixed point.
+  if (chip == nullptr && effective > 1 && n > 1) {
+    const int64_t cap = fair_load + max_w;
+    std::vector<int64_t> load(static_cast<size_t>(effective), 0);
+    for (int i = 0; i < n; ++i) {
+      load[static_cast<size_t>(chip_of[static_cast<size_t>(i)])] +=
+          dag.gates[static_cast<size_t>(i)].bootstraps;
+    }
+    const auto cross = [&](int v, int on) {
       int64_t c = 0;
       for (const int d : dag.gates[static_cast<size_t>(v)].deps) {
-        c += chip_of[static_cast<size_t>(d)] != chip;
+        c += chip_of[static_cast<size_t>(d)] != on;
       }
       for (const int u : users[static_cast<size_t>(v)]) {
-        if (chip_of[static_cast<size_t>(u)] == chip) continue;
+        if (chip_of[static_cast<size_t>(u)] == on) continue;
         for (const int d : dag.gates[static_cast<size_t>(u)].deps) c += d == v;
       }
       return c;
@@ -429,9 +387,7 @@ GateDagPartition search_partition(const GateDag& dag, int num_chips,
         int64_t best_gain = 0;
         for (const int c2 : {c - 1, c + 1}) {
           if (c2 < lo || c2 > hi) continue;
-          if (load[static_cast<size_t>(c2)] + w >
-              part.chip_load_cap[static_cast<size_t>(c2)])
-            continue;
+          if (load[static_cast<size_t>(c2)] + w > cap) continue;
           const int64_t gain = here - cross(v, c2);
           if (gain > best_gain) {
             best_gain = gain;
@@ -449,37 +405,23 @@ GateDagPartition search_partition(const GateDag& dag, int num_chips,
     }
   }
 
-  // Wire-node anchoring: NOT/kFreeOr nodes ride with the rotation that
-  // feeds them, so their outputs never pay a transfer away from their anchor
-  // and multi-output bundles stay priced once.
-  if (pin_wire_nodes) {
-    snap_pinned_nodes(dag, users, effective, chip_of, load);
-  }
-
-  part.chip_of = std::move(chip_of);
-  part.chip_bootstraps = std::move(load);
-  part.cut_wires = count_cut(dag, part.chip_of);
-  std::vector<char> seen(static_cast<size_t>(num_chips), 0);
-  for (const int c : part.chip_of) seen[static_cast<size_t>(c)] = 1;
-  part.used_chips = static_cast<int>(
-      std::count(seen.begin(), seen.end(), static_cast<char>(1)));
-  return part;
+  return summarize_partition(dag, num_chips, std::move(chip_of));
 }
 
 } // namespace
 
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
-                                    const PartitionOptions& opt) {
+                                    const ChipResources& chip,
+                                    int64_t transfer_cycles) {
+  require_chip(chip, "partition_gate_dag");
   GateDagPartition part =
-      search_partition(dag, num_chips, opt, /*pin_wire_nodes=*/true);
-  if (opt.chips.empty()) return part;
+      search_partition(dag, num_chips, &chip, transfer_cycles);
   // Never slower than the greedy-KL baseline: schedule it too -- after the
   // search and outside its budget, so the descent path is unchanged -- and
   // keep it unless the refinement is strictly faster.
   GateDagPartition base = partition_gate_dag(dag, num_chips);
   const auto makespan = [&](const GateDagPartition& candidate) {
-    return schedule_gate_dag_multichip(dag, candidate, opt.chips,
-                                       opt.transfer_cycles)
+    return schedule_gate_dag_multichip(dag, candidate, chip, transfer_cycles)
         .makespan;
   };
   const int64_t t_base = makespan(base);
@@ -490,53 +432,37 @@ GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
 }
 
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips) {
-  return search_partition(dag, num_chips, PartitionOptions{},
-                          /*pin_wire_nodes=*/false);
+  return search_partition(dag, num_chips, nullptr, 0);
 }
 
 MultiChipScheduleResult schedule_gate_dag_multichip(
     const GateDag& dag, const GateDagPartition& part,
-    const std::vector<ChipResources>& chip_specs, int64_t transfer_cycles) {
-  if (part.num_chips <= 0 || part.chip_of.size() != dag.gates.size()) {
+    const ChipResources& chip, int64_t transfer_cycles) {
+  if (part.num_chips <= 0 || part.chip_of.size() != dag.gates.size() ||
+      std::any_of(part.chip_of.begin(), part.chip_of.end(),
+                  [&](int c) { return c < 0 || c >= part.num_chips; })) {
     throw std::invalid_argument(
         "schedule_gate_dag_multichip: partition does not match the DAG");
   }
-  if (static_cast<int>(chip_specs.size()) != part.num_chips) {
-    throw std::invalid_argument(
-        "schedule_gate_dag_multichip: one ChipResources entry per chip");
-  }
-  size_t max_nodes = 0;
-  for (const ChipResources& spec : chip_specs) {
-    if (spec.pipelines <= 0) {
-      throw std::invalid_argument(
-          "schedule_gate_dag_multichip: pipelines must be positive");
-    }
-    if (spec.dfg == nullptr) {
-      throw std::invalid_argument(
-          "schedule_gate_dag_multichip: every chip needs a DFG");
-    }
-    max_nodes = std::max(max_nodes, spec.dfg->nodes.size());
-  }
+  require_chip(chip, "schedule_gate_dag_multichip");
   if (transfer_cycles < 0) {
     throw std::invalid_argument(
         "schedule_gate_dag_multichip: transfer_cycles must be nonnegative");
   }
   require_topological(dag, "schedule_gate_dag_multichip");
   const int num_chips = part.num_chips;
+  const int pipelines = chip.pipelines;
+  const Dfg& gate_dfg = *chip.dfg;
   MultiChipScheduleResult r;
   r.num_gates = static_cast<int>(dag.gates.size());
   r.num_chips = num_chips;
-  r.chip_pipelines.reserve(chip_specs.size());
-  for (const ChipResources& spec : chip_specs) {
-    r.chip_pipelines.push_back(spec.pipelines);
-    r.pipelines = std::max(r.pipelines, spec.pipelines);
-  }
+  r.pipelines = pipelines;
   r.gate_end.assign(dag.gates.size(), 0);
   r.cut_wires = count_cut(dag, part.chip_of);
   r.chip_occupancy.assign(static_cast<size_t>(num_chips), 0);
   r.chip_hbm_utilization.assign(static_cast<size_t>(num_chips), 0);
   r.chip_poly_utilization.assign(static_cast<size_t>(num_chips), 0);
-  if (dag.gates.empty() || max_nodes == 0) return r;
+  if (dag.gates.empty() || gate_dfg.nodes.empty()) return r;
 
   // Per-chip resources: private TGSW/EP pipelines with backfilling timelines
   // (a later gate's prologue may use idle windows behind an earlier gate's
@@ -548,11 +474,10 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
     std::vector<int64_t> pipe_avail;
   };
   std::vector<Chip> chips(static_cast<size_t>(num_chips));
-  for (int c = 0; c < num_chips; ++c) {
-    const size_t p = static_cast<size_t>(chip_specs[static_cast<size_t>(c)].pipelines);
-    chips[static_cast<size_t>(c)].tgsw.resize(p);
-    chips[static_cast<size_t>(c)].ep.resize(p);
-    chips[static_cast<size_t>(c)].pipe_avail.assign(p, 0);
+  for (Chip& c : chips) {
+    c.tgsw.resize(static_cast<size_t>(pipelines));
+    c.ep.resize(static_cast<size_t>(pipelines));
+    c.pipe_avail.assign(static_cast<size_t>(pipelines), 0);
   }
   BackfillTimeline link;
   // Lazily-created transfer completions, one per (value, destination chip):
@@ -613,15 +538,12 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
 
   // Deps index earlier gates only, so the DAG is acyclic and every gate
   // drains through the queue.
-  std::vector<int64_t> node_end(max_nodes, 0);
+  std::vector<int64_t> node_end(gate_dfg.nodes.size(), 0);
   while (!queue.empty()) {
     const auto [ready, gi] = queue.top();
     queue.pop();
     const GateDagNode& gate = dag.gates[gi];
-    const int chip_id = part.chip_of[static_cast<size_t>(gi)];
-    Chip& chip = chips[static_cast<size_t>(chip_id)];
-    const Dfg& gate_dfg = *chip_specs[static_cast<size_t>(chip_id)].dfg;
-    const int pipelines = chip_specs[static_cast<size_t>(chip_id)].pipelines;
+    Chip& home = chips[static_cast<size_t>(part.chip_of[static_cast<size_t>(gi)])];
     int64_t end = ready;
     if (gate.bootstraps > 0) {
       // Greedy pipeline choice: the pair whose last placed gate ends
@@ -630,8 +552,8 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
       int64_t best_start = INT64_MAX;
       for (int p = 0; p < pipelines; ++p) {
         const int64_t start =
-            chip.pipe_avail[static_cast<size_t>(p)] > ready
-                ? chip.pipe_avail[static_cast<size_t>(p)]
+            home.pipe_avail[static_cast<size_t>(p)] > ready
+                ? home.pipe_avail[static_cast<size_t>(p)]
                 : ready;
         if (start < best_start) {
           best_start = start;
@@ -653,13 +575,13 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
           BackfillTimeline* unit = nullptr;
           switch (node.resource) {
             case Resource::kTgswCluster:
-              unit = &chip.tgsw[static_cast<size_t>(best)];
+              unit = &home.tgsw[static_cast<size_t>(best)];
               break;
             case Resource::kEpCore:
-              unit = &chip.ep[static_cast<size_t>(best)];
+              unit = &home.ep[static_cast<size_t>(best)];
               break;
-            case Resource::kPolyUnit: unit = &chip.poly; break;
-            case Resource::kHbm: unit = &chip.hbm; break;
+            case Resource::kPolyUnit: unit = &home.poly; break;
+            case Resource::kHbm: unit = &home.hbm; break;
             case Resource::kCount: break;
           }
           assert(unit != nullptr && "DFG node carries an invalid resource");
@@ -669,7 +591,7 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
         base = instance_end;
       }
       end = base;
-      chip.pipe_avail[static_cast<size_t>(best)] = end;
+      home.pipe_avail[static_cast<size_t>(best)] = end;
     }
     r.gate_end[gi] = end;
     if (end > r.makespan) r.makespan = end;
@@ -680,7 +602,6 @@ MultiChipScheduleResult schedule_gate_dag_multichip(
   r.transfer_busy_cycles = link.busy();
   if (r.makespan > 0) {
     for (int c = 0; c < num_chips; ++c) {
-      const int pipelines = chip_specs[static_cast<size_t>(c)].pipelines;
       int64_t busy = 0;
       for (int p = 0; p < pipelines; ++p) {
         busy += chips[static_cast<size_t>(c)].tgsw[static_cast<size_t>(p)].busy() +
@@ -712,7 +633,7 @@ GateDagScheduleResult schedule_gate_dag(const Dfg& gate_dfg, const GateDag& dag,
   one.chip_of.assign(dag.gates.size(), 0);
   one.chip_bootstraps.assign(1, dag.total_bootstraps());
   const MultiChipScheduleResult m =
-      schedule_gate_dag_multichip(dag, one, {{pipelines, &gate_dfg}}, 0);
+      schedule_gate_dag_multichip(dag, one, {pipelines, &gate_dfg}, 0);
   GateDagScheduleResult r;
   r.num_gates = m.num_gates;
   r.pipelines = m.pipelines;

@@ -16,11 +16,11 @@
 // Round 2 (batch-aware scheduling): the partition objective is *predicted
 // makespan*, not cut size -- the inter-chip link sits below 0.01% utilization
 // on every measured circuit, so cut wires are nearly free while chip idle
-// time is not. PartitionOptions attaches the chip fleet the refinement
-// scores candidates on (the true multi-chip schedule) and carries
-// heterogeneous per-chip capacities; the plain two-argument
-// partition_gate_dag is the greedy-KL min-cut baseline, which the refined
-// call also schedules and returns whenever it is not beaten.
+// time is not. Every chip of a run is a copy of one ChipResources; the
+// refined partition_gate_dag scores candidates on the true multi-chip
+// schedule of those chips, and the plain two-argument partition_gate_dag is
+// the greedy-KL min-cut baseline, which the refined call also schedules and
+// returns whenever it is not beaten.
 // sim/multichip_policy.h builds on this to pick replicate-vs-shard
 // placements per batch shape.
 #pragma once
@@ -42,8 +42,8 @@ struct GateDagNode {
   /// Anchor affinity for zero-bootstrap wire nodes (NOT, kFreeOr): the dep
   /// this node should share a chip with whenever the partition allows it.
   /// A wire node placed away from every operand would pay transfers for all
-  /// of them, so the round-2 partitioner (the three-argument
-  /// partition_gate_dag) snaps pinned nodes next to their anchor.
+  /// of them, so the round-2 partitioner (the refined partition_gate_dag)
+  /// snaps pinned nodes next to their anchor.
   /// -1 = unpinned.
   int pin = -1;
   std::vector<int> deps;
@@ -78,60 +78,54 @@ struct GateDagPartition {
   int used_chips = 1;
   std::vector<int> chip_of;             ///< per gate
   std::vector<int64_t> chip_bootstraps; ///< per-chip load (bootstraps)
-  std::vector<int64_t> chip_load_cap;   ///< cap the refinement enforced
   int64_t cut_wires = 0; ///< dependence edges whose endpoints differ in chip
   /// Makespan of the greedy-KL baseline (two-argument partition_gate_dag)
-  /// on the chip fleet the refinement ran against; 0 without one.
+  /// on the chips the refinement ran against; 0 without them.
   int64_t baseline_makespan = 0;
 };
 
-/// One chip of a fleet: its pipeline count and the per-bootstrap DFG it
-/// executes (its own unroll m / clocking baked in by sim/dfg.h). Identical
-/// entries describe a homogeneous fleet.
+/// The partition `chip_of` (one chip id in [0, num_chips) per gate) with its
+/// per-chip loads, cut wires and used chips derived from the DAG.
+/// Throws std::invalid_argument when chip_of does not match the DAG or a
+/// chip id is out of range.
+GateDagPartition summarize_partition(const GateDag& dag, int num_chips,
+                                     std::vector<int> chip_of);
+
+/// The chip every multi-chip run copies: its pipeline count and the
+/// per-bootstrap DFG it executes (unroll m and clocking baked in by
+/// sim/dfg.h). The DFG must outlive every call that takes the chip.
 struct ChipResources {
   int pipelines = 1;
   const Dfg* dfg = nullptr;
 };
 
-/// Round-2 partition knobs. With a chip fleet attached (`chips`), refinement
-/// is a prefix-boundary coordinate descent plus a single-gate polish against
-/// the *true* multi-chip schedule -- cut size rises freely, only predicted
-/// makespan matters. Without one it is greedy-KL min-cut.
-struct PartitionOptions {
-  /// Relative per-chip throughput capacity (empty = homogeneous). Load caps
-  /// and balance targets scale by each chip's share, so a chip with twice
-  /// the pipelines absorbs twice the bootstraps.
-  std::vector<double> chip_capacity;
-  /// The cycle model: one entry per chip (chips.size() == num_chips), or
-  /// empty for none. Pointers must outlive the call.
-  std::vector<ChipResources> chips;
-  int64_t transfer_cycles = 0;
-};
-
-/// Shard the DAG into `num_chips` parts. The seed is chip-monotone by
-/// construction (weight-balanced topological prefix blocks); refinement
-/// moves boundaries or single gates between chips without ever violating
-/// edge monotonicity or the per-chip load cap, then zero-bootstrap wire
-/// nodes snap onto their anchor's chip (GateDagNode::pin) whenever edge
-/// monotonicity allows. With `opt.chips` set, the greedy-KL baseline (the
-/// two-argument call) is scheduled too and returned unless the refined
-/// partition is strictly faster; baseline_makespan records its makespan
-/// either way, so the result is never slower than the baseline.
-/// Deterministic for a given DAG and options.
+/// Shard the DAG across `num_chips` copies of `chip`. The seed is
+/// chip-monotone by construction (weight-balanced topological prefix
+/// blocks); refinement is a prefix-boundary coordinate descent plus a
+/// single-gate polish against the *true* multi-chip schedule -- cut size
+/// rises freely, only predicted makespan matters -- and never breaks edge
+/// monotonicity. Zero-bootstrap wire nodes then snap onto their anchor's
+/// chip (GateDagNode::pin) whenever edge monotonicity allows. The greedy-KL
+/// baseline (the two-argument call, not snapped) is scheduled too and
+/// returned unless the refined partition is strictly faster;
+/// baseline_makespan records its makespan either way, so the result is never
+/// slower than the baseline.
+/// Deterministic for a given DAG and chip.
 /// Throws std::invalid_argument when a dep or pin does not index an earlier
-/// gate.
+/// gate, or the chip has no DFG or no pipelines.
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips,
-                                    const PartitionOptions& opt);
+                                    const ChipResources& chip,
+                                    int64_t transfer_cycles);
 
-/// PR-4 baseline: greedy-KL cut minimization over a prefix seed (plus the
-/// degenerate-DAG fix), no wire-node snapping.
+/// The baseline: greedy-KL cut minimization over a prefix seed (plus the
+/// degenerate-DAG fix) under a balanced per-chip load cap, no wire-node
+/// snapping.
 GateDagPartition partition_gate_dag(const GateDag& dag, int num_chips);
 
 struct MultiChipScheduleResult {
   int num_gates = 0;
   int num_chips = 1;
-  int pipelines = 0;             ///< per chip (max across chips if hetero)
-  std::vector<int> chip_pipelines; ///< per-chip pipeline counts
+  int pipelines = 0;             ///< per chip
   int64_t makespan = 0;          ///< circuit completion (cycles)
   std::vector<int64_t> gate_end; ///< per-gate completion cycle
   int64_t cut_wires = 0;         ///< dependence edges crossing chips
@@ -144,20 +138,21 @@ struct MultiChipScheduleResult {
   std::vector<double> chip_poly_utilization;
 };
 
-/// Multi-chip variant of schedule_gate_dag: chip c owns chips[c].pipelines
-/// TGSW/EP pairs running its own per-bootstrap DFG, plus a private
-/// polynomial unit and HBM channel (chips.size() == part.num_chips); gates
-/// run on the chip `part` assigns them. A value consumed on a different chip
-/// than it was produced on first claims the shared inter-chip link for
-/// `transfer_cycles` (earliest start at producer completion) -- one transfer
-/// per distinct (value, destination chip), reused by every consumer there; a
-/// multi-output LUT bundle is one value, so all its extractions cross in one
-/// send. With one chip this reduces exactly to schedule_gate_dag.
-/// Throws std::invalid_argument on a partition or chip list that does not
-/// match, or a dep or pin that does not index an earlier gate.
+/// Multi-chip variant of schedule_gate_dag: each of part.num_chips chips
+/// owns chip.pipelines TGSW/EP pairs replaying chip.dfg, plus a private
+/// polynomial unit and HBM channel; gates run on the chip `part` assigns
+/// them. A value consumed on a different chip than it was produced on first
+/// claims the shared inter-chip link for `transfer_cycles` (earliest start
+/// at producer completion) -- one transfer per distinct (value, destination
+/// chip), reused by every consumer there; a multi-output LUT bundle is one
+/// value, so all its extractions cross in one send. With one chip this
+/// reduces exactly to schedule_gate_dag.
+/// Throws std::invalid_argument on a partition that does not match the DAG
+/// (including a chip id outside [0, part.num_chips)), a chip without a DFG
+/// or pipelines, or a dep or pin that does not index an earlier gate.
 MultiChipScheduleResult schedule_gate_dag_multichip(
     const GateDag& dag, const GateDagPartition& part,
-    const std::vector<ChipResources>& chips, int64_t transfer_cycles);
+    const ChipResources& chip, int64_t transfer_cycles);
 
 /// One chip's schedule: a circuit here, or a batch of identical gates from
 /// scheduler.h's schedule_batch.

@@ -1,11 +1,8 @@
 #include "sim/multichip_policy.h"
 
-#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <utility>
-
-#include "sim/scheduler.h"
 
 namespace matcha::sim {
 
@@ -17,37 +14,6 @@ const char* policy_name(BatchPolicy policy) {
   }
   return "?";
 }
-
-namespace {
-
-GateDagPartition compose_partition(const GateDag& batch_dag, int num_chips,
-                                   const std::vector<int>& chip_of) {
-  GateDagPartition part;
-  part.num_chips = num_chips;
-  part.chip_of = chip_of;
-  part.chip_bootstraps.assign(static_cast<size_t>(num_chips), 0);
-  part.chip_load_cap.assign(static_cast<size_t>(num_chips), 0);
-  for (size_t i = 0; i < batch_dag.gates.size(); ++i) {
-    part.chip_bootstraps[static_cast<size_t>(chip_of[i])] +=
-        batch_dag.gates[i].bootstraps;
-    for (const int d : batch_dag.gates[i].deps) {
-      part.cut_wires += chip_of[static_cast<size_t>(d)] != chip_of[i];
-    }
-  }
-  std::vector<char> seen(static_cast<size_t>(num_chips), 0);
-  for (const int c : chip_of) seen[static_cast<size_t>(c)] = 1;
-  part.used_chips = static_cast<int>(
-      std::count(seen.begin(), seen.end(), static_cast<char>(1)));
-  // Loads may legitimately exceed the single-shard cap when several batch
-  // copies stack on one group; record the realized load as the cap.
-  for (int c = 0; c < num_chips; ++c) {
-    part.chip_load_cap[static_cast<size_t>(c)] =
-        part.chip_bootstraps[static_cast<size_t>(c)];
-  }
-  return part;
-}
-
-} // namespace
 
 BatchPlan plan_batch_schedule(const BatchPlanRequest& req) {
   if (req.dfg == nullptr || req.circuit == nullptr) {
@@ -65,7 +31,6 @@ BatchPlan plan_batch_schedule(const BatchPlanRequest& req) {
   plan.batch_dag = replicate_gate_dag(*req.circuit, req.batch);
 
   const ChipResources chip{req.pipelines, req.dfg};
-  const std::vector<ChipResources> fleet(static_cast<size_t>(C), chip);
 
   // Shard layouts of `copies` stacked circuit instances across S chips are
   // identical for every group with the same copy count -- cache them.
@@ -81,10 +46,7 @@ BatchPlan plan_batch_schedule(const BatchPlanRequest& req) {
     const GateDag sub = replicate_gate_dag(*req.circuit, copies);
     GateDagPartition layout;
     if (copies == 1 && S > 1) {
-      PartitionOptions opt;
-      opt.chips.assign(static_cast<size_t>(S), chip);
-      opt.transfer_cycles = req.transfer_cycles;
-      layout = partition_gate_dag(sub, S, opt);
+      layout = partition_gate_dag(sub, S, chip, req.transfer_cycles);
     } else {
       layout = partition_gate_dag(sub, S);
     }
@@ -110,9 +72,9 @@ BatchPlan plan_batch_schedule(const BatchPlanRequest& req) {
       }
     }
     const GateDagPartition part =
-        compose_partition(plan.batch_dag, C, chip_of);
+        summarize_partition(plan.batch_dag, C, std::move(chip_of));
     const MultiChipScheduleResult sched = schedule_gate_dag_multichip(
-        plan.batch_dag, part, fleet, req.transfer_cycles);
+        plan.batch_dag, part, chip, req.transfer_cycles);
 
     BatchPlanVariant v;
     v.policy = G == C ? BatchPolicy::kReplicate

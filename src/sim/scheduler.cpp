@@ -33,17 +33,6 @@ ScheduleResult schedule(const Dfg& dfg) {
   return r;
 }
 
-BootstrapProfile profile_bootstrap(const Dfg& gate_dfg) {
-  const ScheduleResult s = schedule(gate_dfg);
-  BootstrapProfile p;
-  p.latency = s.makespan;
-  p.hbm_busy = s.busy[static_cast<int>(Resource::kHbm)];
-  p.poly_busy = s.busy[static_cast<int>(Resource::kPolyUnit)];
-  p.pipeline_busy = std::max(s.busy[static_cast<int>(Resource::kTgswCluster)],
-                             s.busy[static_cast<int>(Resource::kEpCore)]);
-  return p;
-}
-
 GateDagScheduleResult schedule_batch(const Dfg& gate_dfg, int num_gates,
                                      int pipelines) {
   if (pipelines <= 0) {

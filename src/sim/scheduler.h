@@ -3,7 +3,6 @@
 // OpenCGRA "scheduling and mapping the DFG onto the AD" step).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -29,29 +28,6 @@ struct ScheduleResult {
 /// builder emits them in pipeline order), which matches the hardware's
 /// in-order FIFOs between the TGSW cluster and EP core (Fig. 6(b)).
 ScheduleResult schedule(const Dfg& dfg);
-
-/// Coarse per-bootstrap cost profile extracted from one scheduling of the
-/// per-bootstrap DFG: the latency of one bootstrap alone and the steady-state
-/// interval between bootstrap completions on a chip with `pipelines`
-/// TGSW/EP pairs (bounded below by whichever chip-shared resource -- HBM or
-/// the polynomial unit -- saturates first). sim/chip_sim.cpp reports the
-/// latency and sizes heterogeneous chips' capacity shares by the interval.
-struct BootstrapProfile {
-  int64_t latency = 0;                  ///< one bootstrap, empty chip
-  int64_t hbm_busy = 0;                 ///< HBM cycles per bootstrap
-  int64_t poly_busy = 0;                ///< polynomial-unit cycles per bootstrap
-  int64_t pipeline_busy = 0;            ///< max(TGSW, EP) cycles per bootstrap
-
-  /// Steady-state cycles between bootstrap completions with `pipelines`
-  /// TGSW/EP pairs sharing one HBM channel and one polynomial unit.
-  int64_t steady_interval(int pipelines) const {
-    const int64_t per_pipe =
-        (pipeline_busy + pipelines - 1) / (pipelines > 0 ? pipelines : 1);
-    return std::max<int64_t>(1, std::max({hbm_busy, poly_busy, per_pipe}));
-  }
-};
-
-BootstrapProfile profile_bootstrap(const Dfg& gate_dfg);
 
 /// Map `num_gates` copies of one gate's DFG onto a chip with `pipelines`
 /// TGSW-cluster/EP-core pairs. Gates are assigned round-robin to pipelines

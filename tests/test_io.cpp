@@ -14,7 +14,7 @@ TEST(Io, ParamsRoundTrip) {
   const TfheParams p = TfheParams::security110();
   std::stringstream ss;
   write_params(ss, p);
-  const TfheParams q = read_params(ss);
+  const TfheParams q = try_read_params(ss).value();
   EXPECT_EQ(q.lwe.n, p.lwe.n);
   EXPECT_EQ(q.lwe.sigma, p.lwe.sigma);
   EXPECT_EQ(q.ring.n_ring, p.ring.n_ring);
@@ -29,7 +29,7 @@ TEST(Io, LweSampleRoundTrip) {
   const LweSample c = K.sk.encrypt_bit(1, rng);
   std::stringstream ss;
   write_lwe_sample(ss, c);
-  const LweSample d = read_lwe_sample(ss);
+  const LweSample d = try_read_lwe_sample(ss).value();
   EXPECT_EQ(d.a, c.a);
   EXPECT_EQ(d.b, c.b);
   EXPECT_EQ(K.sk.decrypt_bit(d), 1);
@@ -40,7 +40,7 @@ TEST(Io, SecretKeysetRoundTripDecryptsForeignCiphertext) {
   Rng rng = test::test_rng(2);
   std::stringstream ss;
   write_secret_keyset(ss, K.sk);
-  const SecretKeyset sk2 = read_secret_keyset(ss);
+  const SecretKeyset sk2 = try_read_secret_keyset(ss).value();
   const LweSample c = K.sk.encrypt_bit(1, rng);
   EXPECT_EQ(sk2.decrypt_bit(c), 1);
   EXPECT_EQ(sk2.extracted.s, K.sk.extracted.s);
@@ -51,7 +51,7 @@ TEST(Io, TgswRoundTrip) {
   const TGswSample& t = K.ck2.bk.groups[0][0];
   std::stringstream ss;
   write_tgsw(ss, t);
-  const TGswSample u = read_tgsw(ss);
+  const TGswSample u = try_read_tgsw(ss).value();
   ASSERT_EQ(u.rows_count(), t.rows_count());
   for (int r = 0; r < t.rows_count(); ++r) {
     EXPECT_EQ(u.rows[r].a, t.rows[r].a);
@@ -64,7 +64,7 @@ TEST(Io, CloudKeysetRoundTripStillBootstraps) {
   Rng rng = test::test_rng(3);
   std::stringstream ss;
   write_cloud_keyset(ss, K.ck1);
-  const CloudKeyset ck = read_cloud_keyset(ss);
+  const CloudKeyset ck = try_read_cloud_keyset(ss).value();
   EXPECT_EQ(ck.bk.unroll_m, 1);
   EXPECT_EQ(ck.bk.total_tgsw(), K.ck1.bk.total_tgsw());
   const auto dk = load_device_keyset(K.deng, ck);
@@ -117,13 +117,14 @@ TEST(Io, BootstrapKeyWithOversizedTailGroupIsRejected) {
   expect_bootstrap_key_rejected(ck);
 }
 
-TEST(Io, BadMagicThrows) {
+TEST(Io, BadMagicIsInvalidArgument) {
   std::stringstream ss;
   ss.write("JUNKJUNKJUNK", 12);
-  EXPECT_THROW(read_lwe_sample(ss), std::runtime_error);
+  EXPECT_EQ(try_read_lwe_sample(ss).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST(Io, TruncatedStreamThrows) {
+TEST(Io, TruncatedStreamIsDataLoss) {
   const auto& K = shared_keys();
   Rng rng = test::test_rng(4);
   const LweSample c = K.sk.encrypt_bit(0, rng);
@@ -131,14 +132,15 @@ TEST(Io, TruncatedStreamThrows) {
   write_lwe_sample(ss, c);
   const std::string full = ss.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(read_lwe_sample(cut), std::runtime_error);
+  EXPECT_EQ(try_read_lwe_sample(cut).status().code(), StatusCode::kDataLoss);
 }
 
-TEST(Io, WrongObjectTypeThrows) {
+TEST(Io, WrongObjectTypeIsInvalidArgument) {
   const TfheParams p = TfheParams::test_small();
   std::stringstream ss;
   write_params(ss, p);
-  EXPECT_THROW(read_lwe_sample(ss), std::runtime_error);
+  EXPECT_EQ(try_read_lwe_sample(ss).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------------ fuzz sweeps --

@@ -491,8 +491,7 @@ TEST(GateDagSchedule, RejectsDepsOutsideTopologicalRange) {
   p.tfhe = kParams;
   p.unroll_m = 1;
   const Dfg dfg = build_bootstrap_dfg(p);
-  PartitionOptions opt;
-  opt.chips.assign(2, {p.hw.pipelines, &dfg});
+  const ChipResources chip{p.hw.pipelines, &dfg};
   const auto bad_dep = [](int dep) {
     GateDag dag;
     dag.gates.resize(3);
@@ -509,19 +508,38 @@ TEST(GateDagSchedule, RejectsDepsOutsideTopologicalRange) {
     two.chip_of = {0, 1, 1};
     EXPECT_THROW(schedule_gate_dag(dfg, dag, p.hw.pipelines),
                  std::invalid_argument);
-    EXPECT_THROW(schedule_gate_dag_multichip(dag, two, opt.chips, 0),
+    EXPECT_THROW(schedule_gate_dag_multichip(dag, two, chip, 0),
                  std::invalid_argument);
     EXPECT_THROW(partition_gate_dag(dag, 2), std::invalid_argument);
-    EXPECT_THROW(partition_gate_dag(dag, 2, opt), std::invalid_argument);
+    EXPECT_THROW(partition_gate_dag(dag, 2, chip, 0), std::invalid_argument);
     EXPECT_THROW((void)dag.critical_path_bootstraps(), std::invalid_argument);
     EXPECT_THROW(replicate_gate_dag(dag, 2), std::invalid_argument);
   }
   // The same DAG with an in-range dep and pin is fine.
   GateDag ok = bad_dep(0);
   ok.gates[1].pin = 0;
-  EXPECT_NO_THROW(partition_gate_dag(ok, 2, opt));
+  EXPECT_NO_THROW(partition_gate_dag(ok, 2, chip, 0));
   EXPECT_EQ(ok.critical_path_bootstraps(), 2);
   EXPECT_GT(schedule_gate_dag(dfg, ok, p.hw.pipelines).makespan, 0);
+}
+
+TEST(GateDagSchedule, RejectsChipIdsOutsideThePartition) {
+  SimParams p;
+  p.tfhe = kParams;
+  p.unroll_m = 1;
+  const Dfg dfg = build_bootstrap_dfg(p);
+  GateDag dag;
+  dag.gates.resize(2);
+  for (const int bad : {-1, 2}) {
+    GateDagPartition part;
+    part.num_chips = 2;
+    part.chip_of = {0, bad};
+    EXPECT_THROW(
+        schedule_gate_dag_multichip(dag, part, {p.hw.pipelines, &dfg}, 0),
+        std::invalid_argument);
+    EXPECT_THROW(summarize_partition(dag, 2, part.chip_of),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Sim, ServiceTimesScaleWithRingSize) {
