@@ -1,9 +1,12 @@
 // Micro-kernel latencies of the spectral bottom layer, scalar vs SIMD:
 // forward/inverse negacyclic FFT, pointwise MAC, bundle rotation, external
 // product, and a whole software gate bootstrap, with the double-precision
-// reference engine alongside. Emits BENCH_micro_kernels.json (JsonWriter)
-// so scripts/bench_trend.py can gate software-bootstrap-latency regressions
-// commit over commit.
+// reference engine alongside. On an AVX-512 host the avx2 tier's kernel rows
+// are timed too. Every row is the median of kTrials timed repetitions and
+// carries its quartiles. Emits BENCH_micro_kernels.json (JsonWriter) so
+// scripts/bench_trend.py can gate software-bootstrap-latency regressions
+// commit over commit; it reads the median as `ns_op` / `ns_per_sample`.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -22,17 +25,49 @@ using bench::JsonWriter;
 
 constexpr int kRingN = 1024; // the paper's N for kernel-level numbers
 
-double time_ns_per_op(const std::function<void()>& fn, int reps) {
+constexpr int kTrials = 7; // timed repetitions per row
+
+/// One row's timing in ns per call: the median and quartiles over kTrials
+/// timed repetitions of `reps` calls each. One repetition alone moves by
+/// more than 50% between runs on a shared host.
+struct Timing {
+  double median = 0, q1 = 0, q3 = 0;
+  int trials = 0;
+
+  Timing per(int n) const { return {median / n, q1 / n, q3 / n, trials}; }
+};
+
+Timing time_ns_per_op(const std::function<void()>& fn, int reps) {
   fn(); // warm caches + page in buffers
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < reps; ++i) fn();
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double, std::nano>(dt).count() / reps;
+  std::vector<double> ns(kTrials);
+  for (double& t : ns) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < reps; ++i) fn();
+    const auto dt = std::chrono::steady_clock::now() - t0;
+    t = std::chrono::duration<double, std::nano>(dt).count() / reps;
+  }
+  std::sort(ns.begin(), ns.end());
+  // Linear interpolation between the order statistics around quantile p.
+  const auto quantile = [&](double p) {
+    const double pos = p * (kTrials - 1);
+    const int lo = static_cast<int>(pos);
+    const int hi = std::min(lo + 1, kTrials - 1);
+    return ns[lo] + (pos - lo) * (ns[hi] - ns[lo]);
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75), kTrials};
+}
+
+/// The median as `name`, with `name`_q1, `name`_q3 and the trial count.
+void write_timing(JsonWriter& j, const std::string& name, const Timing& t) {
+  j.field(name.c_str(), t.median);
+  j.field((name + "_q1").c_str(), t.q1);
+  j.field((name + "_q3").c_str(), t.q3);
+  j.field("trials", t.trials);
 }
 
 struct Row {
   std::string kernel, path;
-  double ns_op;
+  Timing ns;
 };
 
 TorusPolynomial random_torus_poly(Rng& rng, int n) {
@@ -199,8 +234,8 @@ struct SeedAosKeySwitch {
 
 struct KsRow {
   std::string path, mode;
-  double ns_per_sample;
-  double eff_gb_s; ///< key_bytes / time-per-sample: delivered accumulate BW
+  Timing ns; ///< per sample
+  double eff_gb_s; ///< key_bytes / median time-per-sample: delivered BW
 };
 
 /// Keyswitch latency rows at test_small: the seed AoS baseline, the SoA
@@ -223,19 +258,19 @@ void keyswitch_rows(const CloudKeyset& ck, const char* active_name,
   { // seed baseline
     const SeedAosKeySwitch seed(ks);
     int idx = 0;
-    const double ns = time_ns_per_op(
+    const Timing ns = time_ns_per_op(
         [&] { (void)seed.eval(in[static_cast<size_t>(idx++ % kPool)]); }, 400);
-    out.push_back({"seed_aos", "per_sample", ns, eff(ns)});
+    out.push_back({"seed_aos", "per_sample", ns, eff(ns.median)});
   }
 
   const auto per_sample = [&](SimdLevel level, const char* path) {
     LweSample o(ks.n_out);
     int idx = 0;
-    const double ns = time_ns_per_op(
+    const Timing ns = time_ns_per_op(
         [&] { key_switch_into(ks, in[static_cast<size_t>(idx++ % kPool)], o,
                               level); },
         400);
-    out.push_back({path, "per_sample", ns, eff(ns)});
+    out.push_back({path, "per_sample", ns, eff(ns.median)});
   };
   const auto batched = [&](SimdLevel level, const char* path, int batch) {
     std::vector<LweSample> o(static_cast<size_t>(batch), LweSample(ks.n_out));
@@ -246,10 +281,10 @@ void keyswitch_rows(const CloudKeyset& ck, const char* active_name,
       outp.push_back(&o[static_cast<size_t>(k)]);
     }
     KeySwitchWorkspace ws;
-    const double ns = time_ns_per_op(
+    const Timing ns = time_ns_per_op(
         [&] { key_switch_batch(ks, inp.data(), outp.data(), batch, ws, level); },
-        200) / batch;
-    out.push_back({path, "batch" + std::to_string(batch), ns, eff(ns)});
+        200).per(batch);
+    out.push_back({path, "batch" + std::to_string(batch), ns, eff(ns.median)});
   };
 
   per_sample(SimdLevel::kScalar, "scalar");
@@ -265,7 +300,7 @@ void keyswitch_rows(const CloudKeyset& ck, const char* active_name,
 
 /// One full software gate bootstrap (test_small, m=2 bundle mode) ns/op.
 template <class Engine>
-double bootstrap_ns(Engine& eng, const SecretKeyset& sk, const CloudKeyset& ck) {
+Timing bootstrap_ns(Engine& eng, const SecretKeyset& sk, const CloudKeyset& ck) {
   const auto dk = load_device_keyset(eng, ck);
   BootstrapWorkspace<Engine> ws(eng, dk.bk.gadget);
   KeySwitchWorkspace ks_ws;
@@ -305,14 +340,22 @@ int main() {
     kernel_rows(simd_eng, simd_eng.level_name(), rows);
     bundle_rows(simd_eng, simd_eng.level_name(), rows);
   }
+  if (std::string(active_name) == "avx512" &&
+      simd_level_available(SimdLevel::kAvx2)) {
+    // An AVX-512 host runs the avx2 tier too, so CI measures both.
+    SimdFftEngine avx2_eng(kRingN, SimdLevel::kAvx2);
+    kernel_rows(avx2_eng, avx2_eng.level_name(), rows);
+  }
   {
     DoubleFftEngine ref_eng(kRingN);
     kernel_rows(ref_eng, "reference_double", rows);
   }
 
-  std::printf("%-24s%-18s%14s\n", "kernel", "path", "ns/op");
+  std::printf("%d trials per row: median ns/op [q1, q3]\n", kTrials);
+  std::printf("%-24s%-18s%14s%22s\n", "kernel", "path", "ns/op", "[q1, q3]");
   for (const Row& r : rows) {
-    std::printf("%-24s%-18s%14.0f\n", r.kernel.c_str(), r.path.c_str(), r.ns_op);
+    std::printf("%-24s%-18s%14.0f    [%7.0f, %7.0f]\n", r.kernel.c_str(),
+                r.path.c_str(), r.ns.median, r.ns.q1, r.ns.q3);
   }
 
   Rng krng(20240601);
@@ -326,10 +369,11 @@ int main() {
   keyswitch_rows(ck, active_name, ks_rows);
   std::printf("\nkeyswitch (test_small, key %.1f MB):\n",
               static_cast<double>(ck.ks.key_bytes()) / (1024.0 * 1024.0));
-  std::printf("%-18s%-14s%16s%12s\n", "path", "mode", "ns/sample", "GB/s");
+  std::printf("%-18s%-14s%16s%12s%22s\n", "path", "mode", "ns/sample", "GB/s",
+              "[q1, q3]");
   for (const KsRow& r : ks_rows) {
-    std::printf("%-18s%-14s%16.0f%12.2f\n", r.path.c_str(), r.mode.c_str(),
-                r.ns_per_sample, r.eff_gb_s);
+    std::printf("%-18s%-14s%16.0f%12.2f    [%7.0f, %7.0f]\n", r.path.c_str(),
+                r.mode.c_str(), r.ns.median, r.eff_gb_s, r.ns.q1, r.ns.q3);
   }
 
   // Whole-gate bootstraps at the unit-test parameters (m = 2 bundle mode),
@@ -337,7 +381,7 @@ int main() {
   std::printf("\nbootstrap (test_small, m=2):\n");
   struct BootRow {
     std::string path;
-    double ns_op;
+    Timing ns;
   };
   std::vector<BootRow> boots;
   {
@@ -353,8 +397,8 @@ int main() {
     boots.push_back({"reference_double", bootstrap_ns(eng, sk, ck)});
   }
   for (const BootRow& b : boots) {
-    std::printf("%-18s%14.0f ns/op  (%.2f ms)\n", b.path.c_str(), b.ns_op,
-                b.ns_op * 1e-6);
+    std::printf("%-18s%14.0f ns/op  (%.2f ms)  [%.0f, %.0f]\n", b.path.c_str(),
+                b.ns.median, b.ns.median * 1e-6, b.ns.q1, b.ns.q3);
   }
 
   std::FILE* jf = std::fopen("BENCH_micro_kernels.json", "w");
@@ -374,7 +418,7 @@ int main() {
     j.begin_object();
     j.field("kernel", r.kernel.c_str());
     j.field("path", r.path.c_str());
-    j.field("ns_op", r.ns_op);
+    write_timing(j, "ns_op", r.ns);
     j.end_object();
   }
   j.end_array();
@@ -385,7 +429,7 @@ int main() {
     j.field("path", r.path.c_str());
     j.field("mode", r.mode.c_str());
     j.field("params", "test_small");
-    j.field("ns_per_sample", r.ns_per_sample);
+    write_timing(j, "ns_per_sample", r.ns);
     j.field("eff_gb_s", r.eff_gb_s);
     j.end_object();
   }
@@ -397,7 +441,7 @@ int main() {
     j.field("path", b.path.c_str());
     j.field("params", "test_small");
     j.field("unroll_m", 2);
-    j.field("ns_op", b.ns_op);
+    write_timing(j, "ns_op", b.ns);
     j.end_object();
   }
   j.end_array();

@@ -1,17 +1,21 @@
 // Generic planar-kernel bodies, templated over a fft/simd.h policy.
 //
 // Included by the per-ISA translation units only
-// (spectral_kernels_{scalar,avx2,neon}.cpp); never include this from
+// (spectral_kernels{,_avx2,_avx512,_neon}.cpp); never include this from
 // headers. Each elementwise loop runs a full-width vector body followed by a
-// simd::Scalar tail -- the late radix-4 stages have quarters (q = 1 or 2)
-// narrower than the AVX2 width, and the tail reuses the exact same
-// butterfly template at W = 1.
+// simd::Scalar tail that reuses the exact same butterfly template at W = 1.
+// A plan with a pair stage and at least two radix-4 stages (has_leaf: m =
+// 2*4^t, N >= 64) ends in the leaf instead of a q = 2 stage and a pair pass,
+// so on every tier none of its butterflies reaches a tail; the tails serve
+// the q = 1 stage of m = 4^t plans (and q = 4 on AVX-512) and N = 16's
+// twist stage.
 //
 // Index-heavy kernels that need integer lanes (rot_scale_add's table
 // gathers, decompose's shift/mask pipeline) get portable scalar bodies here;
 // the AVX2 TU overrides them with hand-vectorized versions.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "fft/simd.h"
@@ -190,6 +194,53 @@ inline void dit_last_butterfly(const NegacyclicPlan& plan,
   }
 }
 
+/// Plans whose transform ends in the leaf: a pair stage (m = 2*4^t) after
+/// at least two radix-4 stages (N >= 64). N = 16's one radix-4 stage is
+/// also its twist stage, so it keeps a separate pair pass.
+inline bool has_leaf(const NegacyclicPlan& plan) {
+  return plan.pair_stage && plan.fwd.size() >= 2;
+}
+
+/// Forward leaf: the last radix-4 stage (size 8, q = 2, twiddles `st`) and
+/// the radix-2 pair stage, fused on each 8-slot block of the m-slot planes.
+/// Policies whose vectors span half a block or more run a block in
+/// registers (fft/simd.h); narrower ones run their q = 2 butterflies and
+/// then their pairs on the block.
+template <class P>
+inline void dif_leaves(const PlanStage& st, double* __restrict re,
+                       double* __restrict im, int m) {
+  if constexpr (P::W >= 4) {
+    P::dif_leaves(st.tw.data(), st.seg, re, im, m);
+  } else {
+    for (int base = 0; base < m; base += 8) {
+#pragma GCC ivdep
+      for (int j = 0; j < st.q; j += P::W) dif_butterfly<P>(st, re, im, base, j);
+      P::butterfly_pairs(re + base, re + base, 4);
+      P::butterfly_pairs(im + base, im + base, 4);
+    }
+  }
+}
+
+/// Inverse leaf, the mirror image: per block, the pair stage and then the
+/// first radix-4 DIT stage (size 8, conjugated twiddles `st`). Reads
+/// sre/sim, writes wre/wim.
+template <class P>
+inline void dit_leaves(const PlanStage& st, const double* sre,
+                       const double* sim, double* wre, double* wim, int m) {
+  if constexpr (P::W >= 4) {
+    P::dit_leaves(st.tw.data(), st.seg, sre, sim, wre, wim, m);
+  } else {
+    for (int base = 0; base < m; base += 8) {
+      P::butterfly_pairs(sre + base, wre + base, 4);
+      P::butterfly_pairs(sim + base, wim + base, 4);
+#pragma GCC ivdep
+      for (int j = 0; j < st.q; j += P::W) {
+        dit_butterfly<P>(st, wre, wim, wre, wim, base, j);
+      }
+    }
+  }
+}
+
 template <class V>
 struct PlanarKernels {
   // The #pragma GCC ivdep below assert what the butterfly index algebra
@@ -198,9 +249,13 @@ struct PlanarKernels {
   // __restrict butterfly parameters) the simd::Scalar instantiation
   // auto-vectorizes to the baseline ISA; without them the alias-versioning
   // budget overflows and the scalar tier stays serial.
+  //
+  // The asserts in the scalar tails check, in Debug builds, that no
+  // butterfly of a leaf plan runs through simd::Scalar on any tier.
   static void forward(const NegacyclicPlan& plan, const int32_t* __restrict in,
                       double* __restrict re, double* __restrict im) {
     const int m = plan.m;
+    const bool leaf = has_leaf(plan);
     const PlanStage& st0 = plan.fwd.front();
     int j = 0;
 #pragma GCC ivdep
@@ -208,20 +263,27 @@ struct PlanarKernels {
       dif_butterfly_twist<V>(plan, st0, in, re, im, j);
     }
     for (; j < st0.q; ++j) {
+      assert(!leaf);
       dif_butterfly_twist<simd::Scalar>(plan, st0, in, re, im, j);
     }
-    for (size_t s = 1; s < plan.fwd.size(); ++s) {
+    const size_t radix4_end = plan.fwd.size() - (leaf ? 1 : 0);
+    for (size_t s = 1; s < radix4_end; ++s) {
       const PlanStage& st = plan.fwd[s];
       for (int base = 0; base < m; base += st.size) {
         int k = 0;
 #pragma GCC ivdep
         for (; k + V::W <= st.q; k += V::W) dif_butterfly<V>(st, re, im, base, k);
-        for (; k < st.q; ++k) dif_butterfly<simd::Scalar>(st, re, im, base, k);
+        for (; k < st.q; ++k) {
+          assert(!leaf);
+          dif_butterfly<simd::Scalar>(st, re, im, base, k);
+        }
       }
     }
-    if (plan.pair_stage) {
-      V::butterfly_pairs(re, re, m / 2);
-      V::butterfly_pairs(im, im, m / 2);
+    if (leaf) {
+      dif_leaves<V>(plan.fwd.back(), re, im, m);
+    } else if (plan.pair_stage) { // N = 16
+      simd::Scalar::butterfly_pairs(re, re, m / 2);
+      simd::Scalar::butterfly_pairs(im, im, m / 2);
     }
   }
 
@@ -229,15 +291,22 @@ struct PlanarKernels {
                             const double* sim, double* wre, double* wim,
                             uint32_t* out) {
     const int m = plan.m;
+    const bool leaf = has_leaf(plan);
     const double* cr = sre;
     const double* ci = sim;
+    size_t s = 0;
     if (plan.pair_stage) {
-      V::butterfly_pairs(sre, wre, m / 2);
-      V::butterfly_pairs(sim, wim, m / 2);
+      if (leaf) {
+        dit_leaves<V>(plan.inv.front(), sre, sim, wre, wim, m);
+        s = 1;
+      } else { // N = 16
+        simd::Scalar::butterfly_pairs(sre, wre, m / 2);
+        simd::Scalar::butterfly_pairs(sim, wim, m / 2);
+      }
       cr = wre;
       ci = wim;
     }
-    for (size_t s = 0; s + 1 < plan.inv.size(); ++s) {
+    for (; s + 1 < plan.inv.size(); ++s) {
       const PlanStage& st = plan.inv[s];
       for (int base = 0; base < m; base += st.size) {
         int k = 0;
@@ -248,6 +317,7 @@ struct PlanarKernels {
           dit_butterfly<V>(st, cr, ci, wre, wim, base, k);
         }
         for (; k < st.q; ++k) {
+          assert(!leaf);
           dit_butterfly<simd::Scalar>(st, cr, ci, wre, wim, base, k);
         }
       }
@@ -261,6 +331,7 @@ struct PlanarKernels {
       dit_last_butterfly<V>(plan, last, cr, ci, out, j);
     }
     for (; j < last.q; ++j) {
+      assert(!leaf);
       dit_last_butterfly<simd::Scalar>(plan, last, cr, ci, out, j);
     }
   }

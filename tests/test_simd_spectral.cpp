@@ -6,7 +6,11 @@
 // the alignment/aliasing contracts of every kernel level the host supports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -247,6 +251,75 @@ TEST(SimdEngine, AddAssignMatchesLinearity) {
     eng.from_spectral_torus(ssum, from_sum);
     eng.from_spectral_torus(sp, from_add);
     EXPECT_LE(max_torus_distance(from_sum, from_add), 1e-7);
+  }
+}
+
+// ---- transforms across levels ---------------------------------------------
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SimdEngine, TransformsAgreeAcrossTiers) {
+  // N = 16 runs a pair pass after its twist stage; N = 64, 256 and 1024 end
+  // in the leaf (last radix-4 stage + pair stage fused per 8-slot block).
+  // On every tier the host runs, the forward spectra match the scalar
+  // tier's to 2^-40 of the largest magnitude, and the inverse of the scalar
+  // spectra rounds to the scalar tier's coefficients. Buffers pre-filled
+  // with NaN give the same bits as zeroed ones: the forward writes every
+  // output slot, and the inverse reads its wre/wim scratch only where it
+  // wrote it (the scratch planes themselves are compared too).
+  const SpectralKernels& scalar = spectral_kernels(SimdLevel::kScalar);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(9);
+  for (const int n : {16, 64, 256, 1024}) {
+    const NegacyclicPlan plan(n);
+    const int m = plan.m;
+    const size_t planes = 2 * static_cast<size_t>(m); // re | im
+    std::vector<std::vector<int32_t>> inputs;
+    for (int i = 0; i < 200; ++i) {
+      const TorusPolynomial t = random_torus(rng, n);
+      inputs.emplace_back(t.coeffs.begin(), t.coeffs.end());
+      inputs.push_back(random_digits(rng, n).coeffs);
+    }
+    for (const SimdLevel level : testable_levels()) {
+      if (level == SimdLevel::kScalar) continue;
+      const SpectralKernels& k = spectral_kernels(level);
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "n " << n << " level "
+                                        << k.name << " input " << i);
+        const int32_t* in = inputs[i].data();
+        std::vector<double> want(planes), zeroed(planes, 0.0),
+            filled(planes, nan);
+        scalar.forward(plan, in, want.data(), want.data() + m);
+        k.forward(plan, in, zeroed.data(), zeroed.data() + m);
+        k.forward(plan, in, filled.data(), filled.data() + m);
+        double peak = 0;
+        for (const double v : want) peak = std::max(peak, std::abs(v));
+        const double tol = std::ldexp(peak, -40);
+        for (size_t s = 0; s < planes; ++s) {
+          ASSERT_LE(std::abs(zeroed[s] - want[s]), tol) << "slot " << s;
+        }
+        ASSERT_TRUE(same_bits(zeroed, filled));
+
+        std::vector<uint32_t> want_out(static_cast<size_t>(n)),
+            out(static_cast<size_t>(n)), out_filled(static_cast<size_t>(n));
+        std::vector<double> scratch(planes, 0.0), scratch_filled(planes, nan);
+        scalar.inverse_torus(plan, want.data(), want.data() + m,
+                             scratch.data(), scratch.data() + m,
+                             want_out.data());
+        std::fill(scratch.begin(), scratch.end(), 0.0);
+        k.inverse_torus(plan, want.data(), want.data() + m, scratch.data(),
+                        scratch.data() + m, out.data());
+        k.inverse_torus(plan, want.data(), want.data() + m,
+                        scratch_filled.data(), scratch_filled.data() + m,
+                        out_filled.data());
+        ASSERT_EQ(out, want_out);
+        ASSERT_EQ(out_filled, out);
+        ASSERT_TRUE(same_bits(scratch, scratch_filled));
+      }
+    }
   }
 }
 
