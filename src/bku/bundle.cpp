@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "fft/double_fft.h"
-#include "fft/lift_fft.h"
 #include "fft/simd_fft.h"
 
 namespace matcha {
@@ -189,18 +187,5 @@ void bundle_rotate_step(const SimdFftEngine& eng,
   eng.inverse_raw(ws.acc_b.re.data(), ws.acc_b.im.data(), acc.b.coeffs.data());
   st.pristine = false;
 }
-
-template bool build_bundle<DoubleFftEngine>(
-    const DoubleFftEngine&, const GadgetParams&,
-    const std::vector<TGswSpectral<DoubleFftEngine>>&,
-    const std::vector<int32_t>&, TGswSpectral<DoubleFftEngine>&);
-template bool build_bundle<LiftFftEngine>(
-    const LiftFftEngine&, const GadgetParams&,
-    const std::vector<TGswSpectral<LiftFftEngine>>&,
-    const std::vector<int32_t>&, TGswSpectral<LiftFftEngine>&);
-template bool build_bundle<SimdFftEngine>(
-    const SimdFftEngine&, const GadgetParams&,
-    const std::vector<TGswSpectral<SimdFftEngine>>&,
-    const std::vector<int32_t>&, TGswSpectral<SimdFftEngine>&);
 
 } // namespace matcha

@@ -1,9 +1,10 @@
 #include "bku/unrolled_key.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "fft/double_fft.h"
-#include "fft/lift_fft.h"
 #include "fft/simd_fft.h"
 
 namespace matcha {
@@ -18,6 +19,15 @@ int UnrolledBootstrapKey::total_tgsw() const {
   int total = 0;
   for (const auto& g : groups) total += static_cast<int>(g.size());
   return total;
+}
+
+void check_key_ring(const UnrolledBootstrapKey& key, int engine_ring_n) {
+  if (key.ring.n_ring != engine_ring_n) {
+    throw std::invalid_argument(
+        "load_bootstrap_key: key ring dimension " +
+        std::to_string(key.ring.n_ring) + " != engine ring dimension " +
+        std::to_string(engine_ring_n));
+  }
 }
 
 UnrolledBootstrapKey make_unrolled_bootstrap_key(const LweKey& lwe_key,
@@ -55,15 +65,10 @@ UnrolledBootstrapKey make_unrolled_bootstrap_key(const LweKey& lwe_key,
   return key;
 }
 
-// Explicit instantiations of the device-load path.
-template DeviceBootstrapKey<DoubleFftEngine> load_bootstrap_key<DoubleFftEngine>(
-    const DoubleFftEngine&, const UnrolledBootstrapKey&);
-template DeviceBootstrapKey<LiftFftEngine> load_bootstrap_key<LiftFftEngine>(
-    const LiftFftEngine&, const UnrolledBootstrapKey&);
-
 template <>
 DeviceBootstrapKey<SimdFftEngine> load_bootstrap_key<SimdFftEngine>(
     const SimdFftEngine& eng, const UnrolledBootstrapKey& key) {
+  check_key_ring(key, eng.ring_n());
   DeviceBootstrapKey<SimdFftEngine> dev;
   dev.unroll_m = key.unroll_m;
   dev.n_lwe = key.n_lwe;

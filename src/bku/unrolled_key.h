@@ -84,9 +84,15 @@ struct DeviceBootstrapKey {
   }
 };
 
+/// Throws std::invalid_argument unless `key`'s ring dimension is
+/// `engine_ring_n`: a loader transforms engine_ring_n coefficients of every
+/// key row, so any other ring would read past the rows or leave them short.
+void check_key_ring(const UnrolledBootstrapKey& key, int engine_ring_n);
+
 template <class Engine>
 DeviceBootstrapKey<Engine> load_bootstrap_key(const Engine& eng,
                                               const UnrolledBootstrapKey& key) {
+  check_key_ring(key, eng.ring_n());
   DeviceBootstrapKey<Engine> dev;
   dev.unroll_m = key.unroll_m;
   dev.n_lwe = key.n_lwe;

@@ -1,8 +1,5 @@
 #include "circuits/word.h"
 
-#include "fft/double_fft.h"
-#include "fft/lift_fft.h"
-
 namespace matcha::circuits {
 
 EncWord encrypt_word(const SecretKeyset& sk, uint64_t value, int width, Rng& rng) {
@@ -20,8 +17,5 @@ uint64_t decrypt_word(const SecretKeyset& sk, const EncWord& w) {
   }
   return v;
 }
-
-template class WordCircuitsT<GateEvaluator<DoubleFftEngine>>;
-template class WordCircuitsT<GateEvaluator<LiftFftEngine>>;
 
 } // namespace matcha::circuits

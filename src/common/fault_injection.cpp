@@ -126,21 +126,6 @@ bool Registry::active() const {
   return false;
 }
 
-bool Registry::chaos_active() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->chaos;
-}
-
-uint64_t Registry::chaos_seed() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->seed;
-}
-
-double Registry::chaos_rate() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->rate;
-}
-
 std::vector<SiteStats> Registry::stats() const {
   std::lock_guard<std::mutex> lk(impl_->mu);
   std::vector<SiteStats> out;

@@ -100,9 +100,6 @@ class Registry {
   void reload_env();
 
   bool active() const;
-  bool chaos_active() const;
-  uint64_t chaos_seed() const;
-  double chaos_rate() const;
 
   /// Per-site counters for every site checked at least once since reset().
   std::vector<SiteStats> stats() const;

@@ -1,32 +1,16 @@
 #include "common/simd_dispatch.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
 namespace matcha {
-
-namespace {
-
-/// Tier order within the x86 family: scalar < avx2 < avx512. NEON is its own
-/// single-tier family on aarch64.
-int x86_rank(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar: return 0;
-    case SimdLevel::kAvx2: return 1;
-    case SimdLevel::kAvx512: return 2;
-    case SimdLevel::kNeon: return -1; // not an x86 tier
-  }
-  return -1;
-}
-
-} // namespace
 
 const char* simd_level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar: return "scalar";
     case SimdLevel::kAvx2: return "avx2";
     case SimdLevel::kAvx512: return "avx512";
-    case SimdLevel::kNeon: return "neon";
   }
   return "?";
 }
@@ -43,20 +27,15 @@ SimdLevel detect_simd_level() {
     return SimdLevel::kAvx2;
   }
   return SimdLevel::kScalar;
-#elif defined(__aarch64__)
-  return SimdLevel::kNeon; // Advanced SIMD is baseline on aarch64
 #else
   return SimdLevel::kScalar;
 #endif
 }
 
 bool simd_level_available(SimdLevel level) {
-  if (level == SimdLevel::kScalar) return true;
-  const SimdLevel hw = detect_simd_level();
-  if (level == hw) return true;
-  // Lower x86 tiers run on wider x86 hardware (AVX-512 implies AVX2+FMA).
-  const int want = x86_rank(level), have = x86_rank(hw);
-  return want >= 0 && have >= 0 && want <= have;
+  // Levels are ordered scalar < avx2 < avx512, and a CPU runs every level up
+  // to the one it detects (AVX-512 implies AVX2+FMA).
+  return level <= detect_simd_level();
 }
 
 SimdLevel resolve_simd_level(const char* override_value, SimdLevel hw) {
@@ -68,22 +47,16 @@ SimdLevel resolve_simd_level(const char* override_value, SimdLevel hw) {
       std::strcmp(override_value, "scalar") == 0) {
     return SimdLevel::kScalar;
   }
-  // A requested ISA is honored only when the hardware actually runs it. An
-  // x86 request above the hardware tier degrades to the hardware tier
-  // (avx512 on an AVX2 box runs avx2); anything else -- cross-architecture
-  // requests, unknown strings -- degrades to scalar rather than crashing on
-  // an illegal instruction.
+  // A requested ISA is honored only when the hardware actually runs it. A
+  // request above the hardware tier degrades to the hardware tier (avx512 on
+  // an AVX2 box runs avx2); an unknown string degrades to scalar rather than
+  // crashing on an illegal instruction.
   if (std::strcmp(override_value, "avx512") == 0 ||
       std::strcmp(override_value, "avx2") == 0) {
     const SimdLevel want = std::strcmp(override_value, "avx512") == 0
                                ? SimdLevel::kAvx512
                                : SimdLevel::kAvx2;
-    const int have = x86_rank(hw);
-    if (have <= 0) return SimdLevel::kScalar;
-    return x86_rank(want) <= have ? want : hw;
-  }
-  if (std::strcmp(override_value, "neon") == 0) {
-    return hw == SimdLevel::kNeon ? SimdLevel::kNeon : SimdLevel::kScalar;
+    return std::min(want, hw);
   }
   return SimdLevel::kScalar;
 }

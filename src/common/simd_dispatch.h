@@ -1,16 +1,17 @@
 // Runtime ISA dispatch for the SIMD spectral kernels.
 //
-// The library ships four implementations of the planar spectral kernel set
-// (scalar, AVX2+FMA, AVX-512, NEON); which one runs is decided once per
-// process from the host CPU plus an environment override:
+// The library ships three implementations of the planar spectral kernel set
+// (scalar, AVX2+FMA, AVX-512); which one runs is decided once per process
+// from the host CPU plus an environment override:
 //
 //   MATCHA_SIMD=off|scalar   force the portable scalar kernels
-//   MATCHA_SIMD=avx2|avx512|neon
-//                            request that ISA. An x86 request the CPU cannot
-//                            satisfy degrades to the best x86 level it *can*
-//                            run (avx512 -> avx2 -> scalar); a cross-
-//                            architecture request degrades to scalar.
+//   MATCHA_SIMD=avx2|avx512  request that ISA. A request the CPU cannot
+//                            satisfy degrades to the best level it *can* run
+//                            (avx512 -> avx2 -> scalar).
 //   MATCHA_SIMD=native       (or unset) use the best level the CPU supports
+//
+// Any other value runs the scalar kernels. A host that is not x86-64 (e.g.
+// aarch64) detects the scalar level.
 //
 // The override exists so CI can pin lower tiers on hardware that *does* have
 // the wider vector units -- the dispatch matrix runs native, forced-avx2 and
@@ -25,7 +26,6 @@ enum class SimdLevel {
   kScalar,
   kAvx2,   ///< x86-64 AVX2 + FMA3
   kAvx512, ///< x86-64 AVX-512 F + DQ (implies AVX2 + FMA)
-  kNeon,   ///< aarch64 Advanced SIMD
 };
 
 const char* simd_level_name(SimdLevel level);
@@ -34,8 +34,7 @@ const char* simd_level_name(SimdLevel level);
 SimdLevel detect_simd_level();
 
 /// True when this binary + CPU can execute `level`'s kernels: the level is
-/// scalar, the hardware level itself, or a lower tier of the same
-/// architecture family (an AVX-512 CPU runs the AVX2 set).
+/// at most the hardware level (an AVX-512 CPU runs the AVX2 set).
 bool simd_level_available(SimdLevel level);
 
 /// Resolve an override string against a hardware level. `override_value` may

@@ -195,6 +195,14 @@ class BatchExecutor {
             std::to_string(g.num_inputs()) + " inputs per item, got " +
             std::to_string(inputs.size()));
       }
+      // Gate combos add inputs coefficient by coefficient over n_lwe.
+      for (const LweSample& c : inputs) {
+        if (c.n() != bk_.n_lwe) {
+          throw std::invalid_argument(
+              "BatchExecutor::run_batch: expected inputs of dimension " +
+              std::to_string(bk_.n_lwe) + ", got " + std::to_string(c.n()));
+        }
+      }
     }
     const auto t0 = std::chrono::steady_clock::now();
     prepare_lut_testvectors(g);

@@ -4,7 +4,6 @@
 #include <cstddef>
 
 #include "common/status.h"
-#include "exec/circuit_builder.h"
 
 namespace matcha::exec {
 
@@ -196,10 +195,3 @@ std::vector<std::vector<int>> GateGraph::wavefronts() const {
 }
 
 } // namespace matcha::exec
-
-namespace matcha::circuits {
-// Compile-check every word circuit against the recording backend (the eager
-// backends are instantiated in circuits/word.cpp; this one lives here so the
-// circuits layer stays independent of exec).
-template class WordCircuitsT<exec::CircuitBuilder>;
-} // namespace matcha::circuits

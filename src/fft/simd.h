@@ -7,13 +7,13 @@
 // load/store, add/sub/mul, fused multiply-add/sub, int32->double widening,
 // the library's fixed rounding point, the Torus32 wrap-around store, and the
 // shuffle-heavy end of the transform that cannot be expressed lane-wise. On
-// the narrow policies (Scalar, Neon) that is the adjacent-pair butterfly of
-// the final radix-2 stage; the wide policies (Avx2, Avx512), whose vectors
-// span half or all of an 8-slot block, replace it with the fused leaf
-// (dif_leaves / dit_leaves): the last radix-4 stage (size 8, q = 2) and the
-// pair stage run on each block while it sits in registers, with the same
-// per-lane add/sub operands and fmsub/fmadd-with-separate-mul twiddle
-// products as the generic butterflies of fft/spectral_kernels_impl.h.
+// the scalar policy that is the adjacent-pair butterfly of the final radix-2
+// stage; the wide policies (Avx2, Avx512), whose vectors span half or all of
+// an 8-slot block, replace it with the fused leaf (dif_leaves / dit_leaves):
+// the last radix-4 stage (size 8, q = 2) and the pair stage run on each
+// block while it sits in registers, with the same per-lane add/sub operands
+// and fmsub/fmadd-with-separate-mul twiddle products as the generic
+// butterflies of fft/spectral_kernels_impl.h.
 //
 // Alongside the double lanes every policy exposes a WU-wide *integer* lane
 // vocabulary over uint32 (load/store, add/sub, shift/mask, nonzero-select).
@@ -42,9 +42,6 @@
 #if (defined(__AVX2__) && defined(__FMA__)) || \
     (defined(__AVX512F__) && defined(__AVX512DQ__))
 #include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
 #endif
 
 namespace matcha::simd {
@@ -261,22 +258,25 @@ struct Avx512 {
   static vd mul(vd a, vd b) { return _mm512_mul_pd(a, b); }
   static vd fmadd(vd a, vd b, vd c) { return _mm512_fmadd_pd(a, b, c); }
   static vd fmsub(vd a, vd b, vd c) { return _mm512_fmsub_pd(a, b, c); }
+  // The zero-masked forms with an all-ones mask below compile to the same
+  // unmasked instructions as the plain intrinsics, whose GCC expansions pass
+  // an _mm512_undefined_* source and trip -Wmaybe-uninitialized.
   static vd load_i32(const int32_t* p) {
-    return _mm512_cvtepi32_pd(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+    return _mm512_maskz_cvtepi32_pd(
+        0xFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
   }
   static vd round_away(vd x) {
     const vd sign = _mm512_and_pd(x, _mm512_set1_pd(-0.0)); // DQ: vandpd
     const vd half = _mm512_or_pd(_mm512_set1_pd(0.5), sign);
-    return _mm512_roundscale_pd(_mm512_add_pd(x, half),
-                                _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    return _mm512_maskz_roundscale_pd(0xFF, _mm512_add_pd(x, half),
+                                      _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
   }
   static void store_torus(uint32_t* p, vd x) {
     // DQ's direct double->int64 conversion (truncating; x is integral, so
     // exact), then vpmovqd narrows mod 2^32 -- the torus wrap.
     const __m512i t = _mm512_cvttpd_epi64(x);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p),
-                        _mm512_cvtepi64_epi32(t));
+                        _mm512_maskz_cvtepi64_epi32(0xFF, t));
   }
   /// Forward leaf (see Avx2::dif_leaves): one 8-slot block is one vector
   /// per plane. Per block: [t0 | t2 | t1 | t3] from the slots four apart,
@@ -340,7 +340,7 @@ struct Avx512 {
   static vu sub_u32(vu a, vu b) { return _mm512_sub_epi32(a, b); }
   static vu and_u32(vu a, vu b) { return _mm512_and_si512(a, b); }
   static vu srl_u32(vu a, int count) {
-    return _mm512_srl_epi32(a, _mm_cvtsi32_si128(count));
+    return _mm512_maskz_srl_epi32(0xFFFF, a, _mm_cvtsi32_si128(count));
   }
   static vu select_nz_u32(vu cond, vu a, vu b) {
     const __mmask16 nz =
@@ -387,71 +387,5 @@ struct Avx512 {
   }
 };
 #endif // __AVX512F__ && __AVX512DQ__
-
-// ------------------------------------------------------------------- NEON
-#if defined(__aarch64__)
-struct Neon {
-  static constexpr int W = 2;
-  using vd = float64x2_t;
-
-  static vd load(const double* p) { return vld1q_f64(p); }
-  static void store(double* p, vd v) { vst1q_f64(p, v); }
-  static vd set1(double x) { return vdupq_n_f64(x); }
-  static vd add(vd a, vd b) { return vaddq_f64(a, b); }
-  static vd sub(vd a, vd b) { return vsubq_f64(a, b); }
-  static vd mul(vd a, vd b) { return vmulq_f64(a, b); }
-  static vd fmadd(vd a, vd b, vd c) { return vfmaq_f64(c, a, b); }
-  static vd fmsub(vd a, vd b, vd c) {
-    return vnegq_f64(vfmsq_f64(c, a, b)); // -(c - a*b) = a*b - c
-  }
-  static vd load_i32(const int32_t* p) {
-    return vcvtq_f64_s64(vmovl_s32(vld1_s32(p)));
-  }
-  static vd round_away(vd x) {
-    const uint64x2_t signbit = vdupq_n_u64(0x8000000000000000ull);
-    const uint64x2_t sign =
-        vandq_u64(vreinterpretq_u64_f64(x), signbit);
-    const vd half = vreinterpretq_f64_u64(
-        vorrq_u64(vreinterpretq_u64_f64(vdupq_n_f64(0.5)), sign));
-    return vrndq_f64(vaddq_f64(x, half)); // vrndq = round toward zero
-  }
-  static void store_torus(uint32_t* p, vd x) {
-    const int64x2_t t = vcvtq_s64_f64(x); // toward zero; x already integral
-    vst1_u32(p, vmovn_u64(vreinterpretq_u64_s64(t)));
-  }
-  static void butterfly_pairs(const double* src, double* dst, int pairs) {
-    int i = 0;
-    for (; i + 2 <= pairs; i += 2) {
-      const float64x2x2_t ab = vld2q_f64(src + 2 * i); // deinterleave a|b
-      float64x2x2_t r;
-      r.val[0] = vaddq_f64(ab.val[0], ab.val[1]);
-      r.val[1] = vsubq_f64(ab.val[0], ab.val[1]);
-      vst2q_f64(dst + 2 * i, r);
-    }
-    for (; i < pairs; ++i) {
-      const double a = src[2 * i], b = src[2 * i + 1];
-      dst[2 * i] = a + b;
-      dst[2 * i + 1] = a - b;
-    }
-  }
-
-  // Integer (uint32) lanes.
-  static constexpr int WU = 4;
-  using vu = uint32x4_t;
-  static vu load_u32(const uint32_t* p) { return vld1q_u32(p); }
-  static void store_u32(uint32_t* p, vu v) { vst1q_u32(p, v); }
-  static vu set1_u32(uint32_t x) { return vdupq_n_u32(x); }
-  static vu add_u32(vu a, vu b) { return vaddq_u32(a, b); }
-  static vu sub_u32(vu a, vu b) { return vsubq_u32(a, b); }
-  static vu and_u32(vu a, vu b) { return vandq_u32(a, b); }
-  static vu srl_u32(vu a, int count) {
-    return vshlq_u32(a, vdupq_n_s32(-count)); // negative count = right shift
-  }
-  static vu select_nz_u32(vu cond, vu a, vu b) {
-    const uint32x4_t nz = vtstq_u32(cond, cond); // lane != 0 -> all-ones
-    return vbslq_u32(nz, a, b);
-  }
-};
-#endif // __aarch64__
 
 } // namespace matcha::simd

@@ -11,7 +11,7 @@
 //     stage; the spectrum stays in digit-reversed storage order, so the
 //     MAC-only external-product path never runs a bit-reverse pass
 //     (fft/spectral_kernels.h documents the dataflow);
-//   * kernels hand-vectorized for AVX2+FMA and NEON behind the fft/simd.h
+//   * kernels hand-vectorized for AVX2+FMA and AVX-512 behind the fft/simd.h
 //     policy shim, selected at runtime (common/simd_dispatch.h; the scalar
 //     set is the always-available fallback and the MATCHA_SIMD=off CI leg).
 //

@@ -1,6 +1,6 @@
 // Plan construction + runtime kernel dispatch. The scalar kernel set is
-// instantiated here; the AVX2/AVX-512/NEON sets live in their own TUs so
-// they can be compiled with the matching ISA flags.
+// instantiated here; the AVX2/AVX-512 sets live in their own TUs so they
+// can be compiled with the matching ISA flags.
 #include "fft/spectral_kernels.h"
 
 #include <cassert>
@@ -123,7 +123,6 @@ const SpectralKernels kScalarKernels = {
 // Defined in the per-ISA TUs; null when the binary lacks that backend.
 const SpectralKernels* spectral_kernels_avx2();
 const SpectralKernels* spectral_kernels_avx512();
-const SpectralKernels* spectral_kernels_neon();
 
 const SpectralKernels& spectral_kernels(SimdLevel level) {
   switch (level) {
@@ -134,9 +133,6 @@ const SpectralKernels& spectral_kernels(SimdLevel level) {
       [[fallthrough]];
     case SimdLevel::kAvx2:
       if (const SpectralKernels* k = spectral_kernels_avx2()) return *k;
-      break;
-    case SimdLevel::kNeon:
-      if (const SpectralKernels* k = spectral_kernels_neon()) return *k;
       break;
     case SimdLevel::kScalar:
       break;

@@ -25,10 +25,9 @@
 // vector boundary, so a stage touches one contiguous table block.
 //
 // Kernel implementations live in per-ISA translation units
-// (spectral_kernels.cpp scalar, spectral_kernels_{avx2,avx512,neon}.cpp)
-// instantiating
-// spectral_kernels_impl.h over the fft/simd.h policies; spectral_kernels()
-// picks the vtable for a SimdLevel at runtime.
+// (spectral_kernels.cpp scalar, spectral_kernels_{avx2,avx512}.cpp)
+// instantiating spectral_kernels_impl.h over the fft/simd.h policies;
+// spectral_kernels() picks the vtable for a SimdLevel at runtime.
 #pragma once
 
 #include <cstdint>

@@ -28,14 +28,19 @@ void rot_scale_add_avx512(const NegacyclicPlan& plan, double* dr, double* di,
   const __m256i vcm = _mm256_set1_epi32(static_cast<int32_t>(cm));
   const __m256i vmask = _mm256_set1_epi32(static_cast<int32_t>(mask));
   const __m512d one = _mm512_set1_pd(1.0);
+  // Masked gather with an explicit zero source: same all-lanes load as
+  // _mm512_i32gather_pd, without the _mm512_undefined_pd source that trips
+  // GCC's -Wmaybe-uninitialized inside the intrinsic header.
+  const __m512d gsrc = _mm512_setzero_pd();
   int k = 0;
   for (; k + 8 <= plan.m; k += 8) {
     const __m256i ft = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(plan.ft1.data() + k));
     const __m256i idx = _mm256_and_si256(_mm256_mullo_epi32(ft, vcm), vmask);
-    const __m512d fr =
-        _mm512_sub_pd(_mm512_i32gather_pd(idx, plan.rot_re.data(), 8), one);
-    const __m512d fi = _mm512_i32gather_pd(idx, plan.rot_im.data(), 8);
+    const __m512d fr = _mm512_sub_pd(
+        _mm512_mask_i32gather_pd(gsrc, 0xFF, idx, plan.rot_re.data(), 8), one);
+    const __m512d fi =
+        _mm512_mask_i32gather_pd(gsrc, 0xFF, idx, plan.rot_im.data(), 8);
     const __m512d xr = _mm512_loadu_pd(sr + k);
     const __m512d xi = _mm512_loadu_pd(si + k);
     __m512d ar = _mm512_loadu_pd(dr + k);
@@ -65,14 +70,16 @@ void rot_factor_avx512(const NegacyclicPlan& plan, double* fr, double* fi,
   const __m256i vcm = _mm256_set1_epi32(static_cast<int32_t>(cm));
   const __m256i vmask = _mm256_set1_epi32(static_cast<int32_t>(mask));
   const __m512d one = _mm512_set1_pd(1.0);
+  const __m512d gsrc = _mm512_setzero_pd(); // see rot_scale_add_avx512
   int k = 0;
   for (; k + 8 <= plan.m; k += 8) {
     const __m256i ft = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(plan.ft1.data() + k));
     const __m256i idx = _mm256_and_si256(_mm256_mullo_epi32(ft, vcm), vmask);
-    _mm512_storeu_pd(fr + k, _mm512_sub_pd(
-        _mm512_i32gather_pd(idx, plan.rot_re.data(), 8), one));
-    _mm512_storeu_pd(fi + k, _mm512_i32gather_pd(idx, plan.rot_im.data(), 8));
+    _mm512_storeu_pd(fr + k, _mm512_sub_pd(_mm512_mask_i32gather_pd(
+        gsrc, 0xFF, idx, plan.rot_re.data(), 8), one));
+    _mm512_storeu_pd(fi + k, _mm512_mask_i32gather_pd(
+        gsrc, 0xFF, idx, plan.rot_im.data(), 8));
   }
   for (; k < plan.m; ++k) {
     const uint32_t idx = (static_cast<uint32_t>(plan.ft1[k]) * cm) & mask;
@@ -97,7 +104,10 @@ void decompose_avx512(int l, int bg_bits, uint32_t offset, int n,
     for (; i + 16 <= n; i += 16) {
       const __m512i tt = _mm512_add_epi32(
           _mm512_loadu_si512(reinterpret_cast<const void*>(p + i)), voff);
-      const __m512i raw = _mm512_and_si512(_mm512_srl_epi32(tt, vsh), vmask);
+      // Zero-masked, all lanes: the plain shift's GCC expansion trips
+      // -Wmaybe-uninitialized (fft/simd.h, Avx512 policy).
+      const __m512i raw =
+          _mm512_and_si512(_mm512_maskz_srl_epi32(0xFFFF, tt, vsh), vmask);
       _mm512_storeu_si512(reinterpret_cast<void*>(dj + i),
                           _mm512_sub_epi32(raw, vhalf));
     }
@@ -134,9 +144,14 @@ uint32_t ks_gather_b_avx512(const uint32_t* d, const uint32_t* b_plane,
   // Horizontal mod-2^32 sum of the sixteen lanes, kept in vector adds the
   // whole way down (_mm512_reduce_add_epi32 lowers to scalar signed +, which
   // is UB on wrap -- torus sums wrap by design).
+  // Both halves through zero-masked extracts with an all-ones mask: the
+  // same builtins as _mm512_castsi512_si256 (a double-lane extract of the
+  // low half) and _mm512_extracti64x4_epi64, without the _mm*_undefined_*
+  // sources that trip GCC's -Wuninitialized.
+  const __m256i lo = _mm256_castpd_si256(
+      _mm512_maskz_extractf64x4_pd(0xFF, _mm512_castsi512_pd(acc), 0));
   const __m256i s256 =
-      _mm256_add_epi32(_mm512_castsi512_si256(acc),
-                       _mm512_extracti64x4_epi64(acc, 1));
+      _mm256_add_epi32(lo, _mm512_maskz_extracti64x4_epi64(0xFF, acc, 1));
   __m128i s = _mm_add_epi32(_mm256_castsi256_si128(s256),
                             _mm256_extracti128_si256(s256, 1));
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));

@@ -1,7 +1,7 @@
 // Generic planar-kernel bodies, templated over a fft/simd.h policy.
 //
 // Included by the per-ISA translation units only
-// (spectral_kernels{,_avx2,_avx512,_neon}.cpp); never include this from
+// (spectral_kernels{,_avx2,_avx512}.cpp); never include this from
 // headers. Each elementwise loop runs a full-width vector body followed by a
 // simd::Scalar tail that reuses the exact same butterfly template at W = 1.
 // A plan with a pair stage and at least two radix-4 stages (has_leaf: m =
@@ -204,8 +204,8 @@ inline bool has_leaf(const NegacyclicPlan& plan) {
 /// Forward leaf: the last radix-4 stage (size 8, q = 2, twiddles `st`) and
 /// the radix-2 pair stage, fused on each 8-slot block of the m-slot planes.
 /// Policies whose vectors span half a block or more run a block in
-/// registers (fft/simd.h); narrower ones run their q = 2 butterflies and
-/// then their pairs on the block.
+/// registers (fft/simd.h); the scalar policy runs its q = 2 butterflies and
+/// then its pairs on the block.
 template <class P>
 inline void dif_leaves(const PlanStage& st, double* __restrict re,
                        double* __restrict im, int m) {

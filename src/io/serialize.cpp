@@ -186,12 +186,9 @@ struct Source {
 
 constexpr uint32_t kMagicParams = 0x4D504152; // "MPAR"
 constexpr uint32_t kMagicLwe = 0x4D4C5745;    // "MLWE"
-constexpr uint32_t kMagicLweKey = 0x4D4C4B59; // "MLKY"
-constexpr uint32_t kMagicTlweKey = 0x4D544B59;
 constexpr uint32_t kMagicTgsw = 0x4D475357;
 constexpr uint32_t kMagicKs = 0x4D4B5357;
 constexpr uint32_t kMagicBk = 0x4D424B31;
-constexpr uint32_t kMagicSecret = 0x4D534B53;
 constexpr uint32_t kMagicCloud = 0x4D434B53;
 
 void put_tlwe(Sink& s, const TLweSample& t) {
@@ -213,15 +210,6 @@ TLweSample get_tlwe(Source& src, int64_t n_ring) {
         "matcha::io: TLwe polynomial length disagrees with its ring"));
   }
   return t;
-}
-
-void check_binary(const std::vector<int32_t>& s, const char* what) {
-  for (const int32_t b : s) {
-    if (b != 0 && b != 1) {
-      fail(out_of_range_status(std::string("matcha::io: ") + what +
-                               " secret is not binary"));
-    }
-  }
 }
 
 TfheParams read_params_impl(std::istream& is) {
@@ -276,46 +264,6 @@ LweSample read_lwe_sample_impl(std::istream& is) {
   c.b = src.get<Torus32>();
   src.verify_checksum("LweSample");
   return c;
-}
-
-LweKey read_lwe_key_impl(std::istream& is) {
-  Source src{is};
-  src.check_header(kMagicLweKey, "LweKey");
-  LweKey k;
-  k.params.n = src.get<int32_t>();
-  k.params.sigma = src.get<double>();
-  check_range(k.params.n, 1, kMaxLweDim, "LweKey.n");
-  check_sigma(k.params.sigma, "LweKey.sigma");
-  src.get_vec_into(k.s, static_cast<uint64_t>(k.params.n), "LweKey.s");
-  src.verify_checksum("LweKey");
-  if (k.s.size() != static_cast<size_t>(k.params.n)) {
-    fail(out_of_range_status(
-        "matcha::io: LweKey secret length disagrees with its dimension"));
-  }
-  check_binary(k.s, "LweKey");
-  return k;
-}
-
-TLweKey read_tlwe_key_impl(std::istream& is) {
-  Source src{is};
-  src.check_header(kMagicTlweKey, "TLweKey");
-  TLweKey k;
-  k.params.n_ring = src.get<int32_t>();
-  k.params.k = src.get<int32_t>();
-  k.params.sigma = src.get<double>();
-  check_range(k.params.n_ring, 2, kMaxRingN, "TLweKey.n_ring");
-  check_pow2(k.params.n_ring, "TLweKey.n_ring");
-  check_range(k.params.k, 1, kMaxRingK, "TLweKey.k");
-  check_sigma(k.params.sigma, "TLweKey.sigma");
-  src.get_vec_into(k.s.coeffs, static_cast<uint64_t>(k.params.n_ring),
-                   "TLweKey.s");
-  src.verify_checksum("TLweKey");
-  if (k.s.coeffs.size() != static_cast<size_t>(k.params.n_ring)) {
-    fail(out_of_range_status(
-        "matcha::io: TLweKey secret length disagrees with its ring"));
-  }
-  check_binary(k.s.coeffs, "TLweKey");
-  return k;
 }
 
 /// TGSW rows with a caller-imposed ring size (-1: infer from row 0, bounded).
@@ -380,6 +328,20 @@ KeySwitchKey read_keyswitch_key_impl(std::istream& is) {
   return k;
 }
 
+void write_keyswitch_key(std::ostream& os, const KeySwitchKey& k) {
+  Sink s{os};
+  s.header(kMagicKs);
+  s.put(static_cast<int32_t>(k.params.basebit));
+  s.put(static_cast<int32_t>(k.params.t));
+  s.put(k.params.sigma);
+  s.put(static_cast<int32_t>(k.n_in));
+  s.put(static_cast<int32_t>(k.n_out));
+  s.put(static_cast<int32_t>(k.t_used));
+  s.put_vec(k.a_plane);
+  s.put_vec(k.b_plane);
+  s.finish();
+}
+
 UnrolledBootstrapKey read_bootstrap_key_impl(std::istream& is) {
   Source src{is};
   src.check_header(kMagicBk, "UnrolledBootstrapKey");
@@ -436,18 +398,6 @@ UnrolledBootstrapKey read_bootstrap_key_impl(std::istream& is) {
   return k;
 }
 
-SecretKeyset read_secret_keyset_impl(std::istream& is) {
-  Source src{is};
-  src.check_header(kMagicSecret, "SecretKeyset");
-  src.verify_checksum("SecretKeyset");
-  SecretKeyset sk;
-  sk.params = read_params_impl(is);
-  sk.lwe = read_lwe_key_impl(is);
-  sk.tlwe = read_tlwe_key_impl(is);
-  sk.extracted = sk.tlwe.extract_lwe_key();
-  return sk;
-}
-
 CloudKeyset read_cloud_keyset_impl(std::istream& is) {
   Source src{is};
   src.check_header(kMagicCloud, "CloudKeyset");
@@ -483,44 +433,11 @@ void write_lwe_sample(std::ostream& os, const LweSample& c) {
   s.finish();
 }
 
-void write_lwe_key(std::ostream& os, const LweKey& k) {
-  Sink s{os};
-  s.header(kMagicLweKey);
-  s.put(static_cast<int32_t>(k.params.n));
-  s.put(k.params.sigma);
-  s.put_vec(k.s);
-  s.finish();
-}
-
-void write_tlwe_key(std::ostream& os, const TLweKey& k) {
-  Sink s{os};
-  s.header(kMagicTlweKey);
-  s.put(static_cast<int32_t>(k.params.n_ring));
-  s.put(static_cast<int32_t>(k.params.k));
-  s.put(k.params.sigma);
-  s.put_vec(k.s.coeffs);
-  s.finish();
-}
-
 void write_tgsw(std::ostream& os, const TGswSample& t) {
   Sink s{os};
   s.header(kMagicTgsw);
   s.put(static_cast<uint32_t>(t.rows.size()));
   for (const auto& row : t.rows) put_tlwe(s, row);
-  s.finish();
-}
-
-void write_keyswitch_key(std::ostream& os, const KeySwitchKey& k) {
-  Sink s{os};
-  s.header(kMagicKs);
-  s.put(static_cast<int32_t>(k.params.basebit));
-  s.put(static_cast<int32_t>(k.params.t));
-  s.put(k.params.sigma);
-  s.put(static_cast<int32_t>(k.n_in));
-  s.put(static_cast<int32_t>(k.n_out));
-  s.put(static_cast<int32_t>(k.t_used));
-  s.put_vec(k.a_plane);
-  s.put_vec(k.b_plane);
   s.finish();
 }
 
@@ -545,15 +462,6 @@ void write_bootstrap_key(std::ostream& os, const UnrolledBootstrapKey& k) {
   s.finish();
 }
 
-void write_secret_keyset(std::ostream& os, const SecretKeyset& sk) {
-  Sink s{os};
-  s.header(kMagicSecret);
-  s.finish();
-  write_params(os, sk.params);
-  write_lwe_key(os, sk.lwe);
-  write_tlwe_key(os, sk.tlwe);
-}
-
 void write_cloud_keyset(std::ostream& os, const CloudKeyset& ck) {
   Sink s{os};
   s.header(kMagicCloud);
@@ -576,12 +484,8 @@ void write_cloud_keyset(std::ostream& os, const CloudKeyset& ck) {
 
 MATCHA_IO_TRY(TfheParams, read_params)
 MATCHA_IO_TRY(LweSample, read_lwe_sample)
-MATCHA_IO_TRY(LweKey, read_lwe_key)
-MATCHA_IO_TRY(TLweKey, read_tlwe_key)
 MATCHA_IO_TRY(TGswSample, read_tgsw)
-MATCHA_IO_TRY(KeySwitchKey, read_keyswitch_key)
 MATCHA_IO_TRY(UnrolledBootstrapKey, read_bootstrap_key)
-MATCHA_IO_TRY(SecretKeyset, read_secret_keyset)
 MATCHA_IO_TRY(CloudKeyset, read_cloud_keyset)
 
 #undef MATCHA_IO_TRY

@@ -1,7 +1,9 @@
-// Binary serialization of parameters, ciphertexts, and key material, so a
-// client can ship cloud keysets to a server/accelerator and ciphertexts back
-// and forth. Format v3: little-endian, versioned magic header per object,
-// and a trailing FNV-1a-64 payload checksum per object so a garbled byte
+// Binary serialization of parameters, ciphertexts, and cloud key material,
+// so a client can ship cloud keysets to a server/accelerator and ciphertexts
+// back and forth. Secret keys never leave the client process, so they have
+// no wire format; the keyswitch key travels only inside a cloud keyset.
+// Format v3: little-endian, versioned magic header per object, and a
+// trailing FNV-1a-64 payload checksum per object so a garbled byte
 // anywhere surfaces as DATA_LOSS instead of a silently wrong key. Spectral
 // device keys are intentionally NOT serialized -- they are an engine-specific
 // cache regenerated at load time (load_device_keyset).
@@ -33,23 +35,11 @@ StatusOr<TfheParams> try_read_params(std::istream& is);
 void write_lwe_sample(std::ostream& os, const LweSample& c);
 StatusOr<LweSample> try_read_lwe_sample(std::istream& is);
 
-void write_lwe_key(std::ostream& os, const LweKey& k);
-StatusOr<LweKey> try_read_lwe_key(std::istream& is);
-
-void write_tlwe_key(std::ostream& os, const TLweKey& k);
-StatusOr<TLweKey> try_read_tlwe_key(std::istream& is);
-
 void write_tgsw(std::ostream& os, const TGswSample& s);
 StatusOr<TGswSample> try_read_tgsw(std::istream& is);
 
-void write_keyswitch_key(std::ostream& os, const KeySwitchKey& k);
-StatusOr<KeySwitchKey> try_read_keyswitch_key(std::istream& is);
-
 void write_bootstrap_key(std::ostream& os, const UnrolledBootstrapKey& k);
 StatusOr<UnrolledBootstrapKey> try_read_bootstrap_key(std::istream& is);
-
-void write_secret_keyset(std::ostream& os, const SecretKeyset& sk);
-StatusOr<SecretKeyset> try_read_secret_keyset(std::istream& is);
 
 void write_cloud_keyset(std::ostream& os, const CloudKeyset& ck);
 StatusOr<CloudKeyset> try_read_cloud_keyset(std::istream& is);

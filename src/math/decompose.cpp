@@ -39,7 +39,7 @@ void decompose_polynomial(const GadgetParams& g, const TorusPolynomial& p,
     planes[j] = digits[j].coeffs.data();
   }
   // Integer-exact on every kernel level, so routing through the runtime
-  // dispatch (scalar / AVX2 / NEON) never changes a digit.
+  // dispatch (scalar / AVX2 / AVX-512) never changes a digit.
   spectral_kernels(active_simd_level())
       .decompose(g.l, g.bg_bits, g.rounding_offset(), n, p.coeffs.data(),
                  planes);

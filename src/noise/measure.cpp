@@ -1,8 +1,5 @@
 #include "noise/measure.h"
 
-#include "fft/double_fft.h"
-#include "fft/lift_fft.h"
-
 namespace matcha::noise {
 
 double phase_error(const SecretKeyset& sk, const LweSample& c, int expected_bit) {
@@ -11,10 +8,5 @@ double phase_error(const SecretKeyset& sk, const LweSample& c, int expected_bit)
                                      : static_cast<Torus32>(-sk.params.mu());
   return torus32_to_double(static_cast<Torus32>(phase - ideal));
 }
-
-template PhaseStats measure_gate_noise<DoubleFftEngine>(
-    const SecretKeyset&, GateEvaluator<DoubleFftEngine>&, int, Rng&);
-template PhaseStats measure_gate_noise<LiftFftEngine>(
-    const SecretKeyset&, GateEvaluator<LiftFftEngine>&, int, Rng&);
 
 } // namespace matcha::noise

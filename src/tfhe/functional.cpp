@@ -2,9 +2,6 @@
 
 #include <cassert>
 
-#include "fft/double_fft.h"
-#include "fft/lift_fft.h"
-#include "fft/simd_fft.h"
 #include "noise/audit.h"
 
 namespace matcha {
@@ -39,26 +36,5 @@ int decrypt_message(const LweKey& key, const LweSample& c, int slots) {
   }
   return decode_message(lwe_phase(key, c), slots);
 }
-
-DecodeAudit decrypt_message_audited(const LweKey& key, const LweSample& c,
-                                    int slots) {
-  const DecodeAudit a = decode_message_audited(lwe_phase(key, c), slots);
-  auto& audit = noise::MarginAudit::instance();
-  if (audit.enabled()) audit.record(a);
-  return a;
-}
-
-template LweSample functional_bootstrap<DoubleFftEngine>(
-    const DoubleFftEngine&, const DeviceBootstrapKey<DoubleFftEngine>&,
-    const KeySwitchKey&, const TorusPolynomial&, const LweSample&,
-    BootstrapWorkspace<DoubleFftEngine>&);
-template LweSample functional_bootstrap<LiftFftEngine>(
-    const LiftFftEngine&, const DeviceBootstrapKey<LiftFftEngine>&,
-    const KeySwitchKey&, const TorusPolynomial&, const LweSample&,
-    BootstrapWorkspace<LiftFftEngine>&);
-template LweSample functional_bootstrap<SimdFftEngine>(
-    const SimdFftEngine&, const DeviceBootstrapKey<SimdFftEngine>&,
-    const KeySwitchKey&, const TorusPolynomial&, const LweSample&,
-    BootstrapWorkspace<SimdFftEngine>&);
 
 } // namespace matcha

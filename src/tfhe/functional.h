@@ -136,9 +136,5 @@ inline LweSample lut_cone_input(const LutSpec& spec,
 LweSample encrypt_message(const LweKey& key, int value, int slots, double sigma,
                           Rng& rng);
 int decrypt_message(const LweKey& key, const LweSample& c, int slots);
-/// Decode with the noise margin surfaced (and recorded when the process-wide
-/// margin audit -- noise/audit.h -- is enabled; decrypt_message records too).
-DecodeAudit decrypt_message_audited(const LweKey& key, const LweSample& c,
-                                    int slots);
 
 } // namespace matcha

@@ -1,9 +1,5 @@
 #include "tfhe/gates.h"
 
-#include "fft/double_fft.h"
-#include "fft/lift_fft.h"
-#include "fft/simd_fft.h"
-
 namespace matcha {
 
 const char* gate_name(GateKind kind) {
@@ -22,9 +18,5 @@ const char* gate_name(GateKind kind) {
   }
   return "?";
 }
-
-template class GateEvaluator<DoubleFftEngine>;
-template class GateEvaluator<LiftFftEngine>;
-template class GateEvaluator<SimdFftEngine>;
 
 } // namespace matcha

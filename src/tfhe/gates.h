@@ -31,8 +31,6 @@ struct GateBreakdown {
   int64_t fft_ns = 0;    ///< from-spectral kernels
   int64_t other_ns = 0;  ///< everything else in the bootstrapping
   int64_t total_ns = 0;
-
-  void clear() { *this = {}; }
 };
 
 template <class Engine>
@@ -95,9 +93,6 @@ class GateEvaluator {
 
   const GateBreakdown& breakdown(GateKind kind) const {
     return breakdown_[static_cast<int>(kind)];
-  }
-  void reset_breakdowns() {
-    for (auto& b : breakdown_) b.clear();
   }
 
  private:

@@ -1,8 +1,5 @@
 #include "tfhe/keyset.h"
 
-#include "fft/double_fft.h"
-#include "fft/lift_fft.h"
-#include "fft/simd_fft.h"
 #include "noise/audit.h"
 
 namespace matcha {
@@ -45,12 +42,5 @@ CloudKeyset make_cloud_keyset(const SecretKeyset& sk, int unroll_m, Rng& rng) {
   ck.ks = make_keyswitch_key(sk.extracted, sk.lwe, sk.params.ks, rng);
   return ck;
 }
-
-template DeviceKeyset<DoubleFftEngine> load_device_keyset<DoubleFftEngine>(
-    const DoubleFftEngine&, const CloudKeyset&);
-template DeviceKeyset<LiftFftEngine> load_device_keyset<LiftFftEngine>(
-    const LiftFftEngine&, const CloudKeyset&);
-template DeviceKeyset<SimdFftEngine> load_device_keyset<SimdFftEngine>(
-    const SimdFftEngine&, const CloudKeyset&);
 
 } // namespace matcha

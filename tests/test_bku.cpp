@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 
 #include "bku/bundle.h"
 #include "fft/simd_fft.h"
@@ -155,6 +156,19 @@ TEST(DeviceKey, LoadPreservesShape) {
   EXPECT_EQ(dev.num_groups(), K.ck3.bk.num_groups());
   EXPECT_EQ(dev.groups[0].size(), 7u);
   EXPECT_EQ(dev.groups[0][0].rows_count(), 2 * K.params.gadget.l);
+}
+
+TEST(DeviceKey, LoadRejectsAnEngineOfAnotherRing) {
+  // A loader transforms eng.ring_n() coefficients of every key row, so a
+  // test_small key (N = 256) must be refused by an N = 512 engine, not read
+  // past its rows.
+  const auto& K = shared_keys();
+  const int other = 2 * K.params.ring.n_ring;
+  const DoubleFftEngine deng(other);
+  EXPECT_THROW(load_bootstrap_key(deng, K.ck2.bk), std::invalid_argument);
+  const SimdFftEngine seng(other);
+  EXPECT_THROW(load_bootstrap_key(seng, K.ck2.bk), std::invalid_argument);
+  EXPECT_THROW(load_device_keyset(seng, K.ck2), std::invalid_argument);
 }
 
 TEST(DeviceKey, SimdKeyIsTheArenaAlone) {

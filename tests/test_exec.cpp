@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "circuits/word.h"
 #include "common/fault_injection.h"
@@ -149,6 +150,24 @@ TEST(BatchExecutor, EmptyBatchIsANoOp) {
   const BatchResult r = ex.run(b.graph(), {ca, cb});
   EXPECT_EQ(K.sk.decrypt_bit(r.at(out)), 0);
   EXPECT_EQ(ex.last_stats().items, 1);
+}
+
+TEST(BatchExecutor, RejectsAnInputOfAnotherDimension) {
+  // A ciphertext one coefficient short must be refused before a gate combo
+  // adds it coefficient by coefficient to a full-length one.
+  const auto& K = shared_keys();
+  const auto dk = load_device_keyset(K.deng, K.ck1);
+  Rng rng = test::test_rng(13);
+  CircuitBuilder b;
+  const Wire a = b.input(), c = b.input();
+  b.mark_output(b.gate_and(a, c));
+  BatchExecutor<DoubleFftEngine> ex(make_engine, dk.bk, *dk.ks, K.params.mu(), 2);
+  const LweSample ca = K.sk.encrypt_bit(1, rng);
+  LweSample cb = K.sk.encrypt_bit(0, rng);
+  cb.a.pop_back(); // n_lwe - 1 coefficients
+  EXPECT_THROW((void)ex.run(b.graph(), {ca, cb}), std::invalid_argument);
+  EXPECT_THROW((void)ex.run_batch(b.graph(), {{ca, ca}, {ca, cb}}),
+               std::invalid_argument);
 }
 
 TEST(BatchExecutor, InputsOnlyGraphPassesThrough) {

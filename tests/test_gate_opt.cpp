@@ -6,6 +6,9 @@
 // sim bridge: the optimized DAG's shape as the chip scheduler sees it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -25,6 +28,7 @@ using exec::CircuitBuilder;
 using exec::CompiledGraph;
 using exec::GateGraph;
 using exec::OptimizeOptions;
+using exec::OptimizeStats;
 using exec::SymWord;
 using exec::SymWordCircuits;
 using exec::Wire;
@@ -287,6 +291,197 @@ TEST(SimBridge, DagShapeMatchesGraph) {
   // Wavefront count of the graph bounds the DAG's critical path in gates.
   EXPECT_LE(static_cast<int64_t>(c.graph.wavefronts().size()),
             dag.total_bootstraps());
+}
+
+// ---------------------------------------------------------------------------
+// Differential plaintext fuzz: random wide, irregular graphs compiled with
+// every pass and with the bit-preserving subset must compute the recorded
+// graph's plaintext on every marked output.
+// ---------------------------------------------------------------------------
+
+/// Plaintext value of every node of `g`; bit i of `assign` is input i. A LUT
+/// reads its primary table, a LUTOUT its parent's table `aux` over the
+/// parent's inputs, a FREEOR is OR.
+std::vector<char> eval_graph(const GateGraph& g, uint64_t assign) {
+  const auto& nodes = g.nodes();
+  std::vector<char> v(nodes.size(), 0);
+  for (int i = 0; i < g.num_inputs(); ++i) {
+    v[static_cast<size_t>(g.inputs()[i])] = static_cast<char>((assign >> i) & 1);
+  }
+  const auto lut_index = [&](const exec::GateNode& n) {
+    unsigned idx = 0;
+    for (int j = 0; j < n.lut.k; ++j) {
+      idx |= (v[static_cast<size_t>(n.in[j])] != 0 ? 1u : 0u) << j;
+    }
+    return idx;
+  };
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const exec::GateNode& n = nodes[i];
+    if (n.is_input) continue;
+    if (n.is_const) {
+      v[i] = n.const_value;
+    } else if (n.kind == GateKind::kLut) {
+      v[i] = lut_eval(n.lut.table, lut_index(n));
+    } else if (n.kind == GateKind::kLutOut) {
+      const exec::GateNode& parent = nodes[static_cast<size_t>(n.in[0])];
+      v[i] = lut_eval(parent.lut.output(n.aux).table, lut_index(parent));
+    } else {
+      const auto in = [&](int j) {
+        return j < n.fan_in() && v[static_cast<size_t>(n.in[j])] != 0;
+      };
+      v[i] = eval_plain(n.kind, in(0), in(1), in(2));
+    }
+  }
+  return v;
+}
+
+/// A random graph mixing the shapes that make each pass fire: constants
+/// (folding), commuted twins (CSE), single-consumer XOR/AND/OR chains
+/// (rebalancing), full adders over shared inputs (cone fusion, multi-output
+/// packing), word-wide MUX trees sharing their selects (MUX flattening),
+/// and random gates over any earlier wire (reconvergent fan-out). Roughly
+/// half the gate wires are marked; the rest are dead or interior.
+GateGraph random_graph(Rng& rng) {
+  GateGraph g;
+  std::vector<Wire> pool; // wires later gates may read
+  const int n_in = 3 + static_cast<int>(rng.uniform_below(10));
+  for (int i = 0; i < n_in; ++i) pool.push_back(g.add_input());
+  const Wire consts[2] = {g.add_const(false), g.add_const(true)};
+  const auto pick = [&] {
+    if (rng.uniform_below(16) == 0) return consts[rng.uniform_below(2)];
+    // Half the picks from the newest wires (depth), half from anywhere.
+    const uint32_t size = static_cast<uint32_t>(pool.size());
+    const uint32_t recent = std::min<uint32_t>(size, 6);
+    return rng.uniform_below(2) == 0 ? pool[size - 1 - rng.uniform_below(recent)]
+                                     : pool[rng.uniform_below(size)];
+  };
+  const auto pick_var = [&] { // a non-constant wire
+    Wire w = pick();
+    while (w == consts[0] || w == consts[1]) w = pick();
+    return w;
+  };
+  std::vector<Wire> gates;
+  const auto add = [&](GateKind kind, Wire a, Wire b = {}, Wire c = {}) {
+    const Wire w = g.add_gate(kind, a, b, c);
+    gates.push_back(w);
+    return w;
+  };
+  constexpr GateKind kKinds[] = {GateKind::kAnd, GateKind::kOr,
+                                 GateKind::kNand, GateKind::kNor,
+                                 GateKind::kXor, GateKind::kXnor,
+                                 GateKind::kNot, GateKind::kMux};
+  constexpr GateKind kAssoc[] = {GateKind::kXor, GateKind::kAnd,
+                                 GateKind::kOr};
+  const int motifs = 8 + static_cast<int>(rng.uniform_below(16));
+  for (int m = 0; m < motifs; ++m) {
+    switch (rng.uniform_below(6)) {
+      case 0:
+      case 1: { // random gates
+        for (int k = 0; k < 3; ++k) {
+          const GateKind kind = kKinds[rng.uniform_below(8)];
+          pool.push_back(add(kind, pick(), kind == GateKind::kNot ? Wire{} : pick(),
+                             kind == GateKind::kMux ? pick() : Wire{}));
+        }
+        break;
+      }
+      case 2: { // associative chain
+        const GateKind kind = kAssoc[rng.uniform_below(3)];
+        Wire acc = pick_var();
+        const int len = 3 + static_cast<int>(rng.uniform_below(4));
+        for (int k = 0; k < len; ++k) acc = add(kind, acc, pick_var());
+        pool.push_back(acc);
+        break;
+      }
+      case 3: { // full adder: sibling cones over one input set
+        const Wire a = pick_var(), b = pick_var(), c = pick_var();
+        const Wire axb = add(GateKind::kXor, a, b);
+        pool.push_back(add(GateKind::kXor, axb, c));
+        pool.push_back(add(GateKind::kOr, add(GateKind::kAnd, a, b),
+                           add(GateKind::kAnd, c, axb)));
+        break;
+      }
+      case 4: { // word-wide 4:1 MUX sharing two selects; roots are outputs
+        const Wire s0 = pick_var(), s1 = pick_var();
+        const int width = 1 + static_cast<int>(rng.uniform_below(4));
+        for (int k = 0; k < width; ++k) {
+          const Wire lo = add(GateKind::kMux, s0, pick_var(), pick_var());
+          const Wire hi = add(GateKind::kMux, s0, pick_var(), pick_var());
+          g.mark_output(add(GateKind::kMux, s1, hi, lo));
+        }
+        break;
+      }
+      default: { // a commuted twin of an earlier two-input gate
+        const Wire a = pick(), b = pick();
+        const GateKind kind = kAssoc[rng.uniform_below(3)];
+        pool.push_back(add(kind, a, b));
+        pool.push_back(add(kind, b, a));
+        break;
+      }
+    }
+  }
+  for (const Wire w : gates) {
+    if (rng.uniform_below(2) == 0) g.mark_output(w);
+  }
+  g.mark_output(gates.back());
+  return g;
+}
+
+TEST(CompileFuzz, RandomGraphsKeepEveryOutputsPlaintext) {
+  constexpr int kGraphs = 300;
+  constexpr int kExhaustiveInputs = 10; // beyond: 2^10 sampled assignments
+  Rng rng = test::test_rng(2024);
+  OptimizeStats total;
+  for (int gi = 0; gi < kGraphs; ++gi) {
+    const GateGraph g = random_graph(rng);
+    const CompiledGraph compiled[2] = {
+        CompiledGraph::compile(g),
+        CompiledGraph::compile(g, OptimizeOptions::bit_preserving())};
+    total.cones_fused += compiled[0].stats.cones_fused;
+    total.mux_trees_flattened += compiled[0].stats.mux_trees_flattened;
+    total.luts_packed += compiled[0].stats.luts_packed;
+    total.chains_rebalanced += compiled[0].stats.chains_rebalanced;
+    total.folded += compiled[0].stats.folded;
+    total.cse_hits += compiled[1].stats.cse_hits;
+    total.dead_removed += compiled[1].stats.dead_removed;
+    for (const CompiledGraph& c : compiled) {
+      ASSERT_EQ(c.graph.num_inputs(), g.num_inputs());
+      for (const int o : g.outputs()) {
+        ASSERT_TRUE(c.remap(Wire{o}).valid()) << "graph " << gi << " wire " << o;
+      }
+    }
+    const int n_in = g.num_inputs();
+    const bool exhaustive = n_in <= kExhaustiveInputs;
+    const uint64_t count = uint64_t{1} << std::min(n_in, kExhaustiveInputs);
+    for (uint64_t t = 0; t < count; ++t) {
+      const uint64_t assign =
+          exhaustive ? t : (rng.next_u64() & ((uint64_t{1} << n_in) - 1));
+      const std::vector<char> want = eval_graph(g, assign);
+      for (int ci = 0; ci < 2; ++ci) {
+        const CompiledGraph& c = compiled[ci];
+        const std::vector<char> got = eval_graph(c.graph, assign);
+        for (const int o : g.outputs()) {
+          ASSERT_EQ(got[static_cast<size_t>(c.remap(Wire{o}).id)],
+                    want[static_cast<size_t>(o)])
+              << (ci == 0 ? "default" : "bit_preserving") << " compile, graph "
+              << gi << ", inputs 0x" << std::hex << assign << std::dec
+              << ", output wire " << o;
+        }
+      }
+    }
+  }
+  // Every pass fired somewhere in the corpus.
+  EXPECT_GT(total.cones_fused, 0);
+  EXPECT_GT(total.mux_trees_flattened, 0);
+  EXPECT_GT(total.luts_packed, 0);
+  EXPECT_GT(total.chains_rebalanced, 0);
+  EXPECT_GT(total.folded, 0);
+  EXPECT_GT(total.cse_hits, 0);
+  EXPECT_GT(total.dead_removed, 0);
+  std::printf("corpus of %d graphs: fused %d, mux trees %d, packed %d, "
+              "chains %d, folded %d, cse %d, dead %d\n",
+              kGraphs, total.cones_fused, total.mux_trees_flattened,
+              total.luts_packed, total.chains_rebalanced, total.folded,
+              total.cse_hits, total.dead_removed);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,17 +35,6 @@ TEST(Io, LweSampleRoundTrip) {
   EXPECT_EQ(K.sk.decrypt_bit(d), 1);
 }
 
-TEST(Io, SecretKeysetRoundTripDecryptsForeignCiphertext) {
-  const auto& K = shared_keys();
-  Rng rng = test::test_rng(2);
-  std::stringstream ss;
-  write_secret_keyset(ss, K.sk);
-  const SecretKeyset sk2 = try_read_secret_keyset(ss).value();
-  const LweSample c = K.sk.encrypt_bit(1, rng);
-  EXPECT_EQ(sk2.decrypt_bit(c), 1);
-  EXPECT_EQ(sk2.extracted.s, K.sk.extracted.s);
-}
-
 TEST(Io, TgswRoundTrip) {
   const auto& K = shared_keys();
   const TGswSample& t = K.ck2.bk.groups[0][0];

@@ -2,7 +2,7 @@
 // plus the PR-6 bandwidth-engineering contracts -- SoA arena shape (no
 // placeholder rows), batched-vs-sequential bit-identity, reference-loop
 // equivalence of the streaming accumulate, and dispatch-level agreement for
-// the integer keyswitch kernels (scalar / AVX2 / AVX-512 / NEON).
+// the integer keyswitch kernels (scalar / AVX2 / AVX-512).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -224,8 +224,7 @@ TEST(KeySwitch, DispatchLevelsBitIdentical) {
     key_switch_into(K.ck1.ks, in[static_cast<size_t>(k)],
                     want[static_cast<size_t>(k)], SimdLevel::kScalar);
   }
-  for (const SimdLevel level :
-       {SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kNeon}) {
+  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (!simd_level_available(level)) {
       GTEST_LOG_(INFO) << "skipping " << simd_level_name(level)
                        << ": host cannot execute it";

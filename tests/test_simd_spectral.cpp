@@ -51,7 +51,8 @@ TEST(SimdDispatch, ResolveHonorsOverrides) {
   EXPECT_EQ(resolve_simd_level("off", hw), SimdLevel::kScalar);
   EXPECT_EQ(resolve_simd_level("scalar", hw), SimdLevel::kScalar);
   EXPECT_EQ(resolve_simd_level("avx2", hw), SimdLevel::kAvx2);
-  // Requesting an ISA the hardware lacks degrades to scalar, never crashes.
+  // Requesting an ISA the hardware lacks degrades to scalar, never crashes;
+  // so does a tier the library does not ship.
   EXPECT_EQ(resolve_simd_level("neon", hw), SimdLevel::kScalar);
   EXPECT_EQ(resolve_simd_level("avx2", SimdLevel::kScalar), SimdLevel::kScalar);
   EXPECT_EQ(resolve_simd_level("bogus", hw), SimdLevel::kScalar);
@@ -67,19 +68,16 @@ TEST(SimdDispatch, ResolveHonorsOverrides) {
   EXPECT_EQ(resolve_simd_level("avx512", SimdLevel::kAvx2), SimdLevel::kAvx2);
   EXPECT_EQ(resolve_simd_level("avx512", SimdLevel::kScalar),
             SimdLevel::kScalar);
-  EXPECT_EQ(resolve_simd_level("avx512", SimdLevel::kNeon),
-            SimdLevel::kScalar);
 }
 
 TEST(SimdDispatch, KernelTableMatchesAvailability) {
   // spectral_kernels() must return the named vtable for every level the host
   // can execute (lower x86 tiers stay runnable on wider hardware) and the
-  // scalar set for any level it cannot (e.g. NEON on x86), keeping every
-  // SimdLevel constructible.
+  // scalar set for any level it cannot (e.g. any vector tier on aarch64),
+  // keeping every SimdLevel constructible.
   const SpectralKernels& scalar = spectral_kernels(SimdLevel::kScalar);
   EXPECT_STREQ(scalar.name, "scalar");
-  for (const SimdLevel lvl :
-       {SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kNeon}) {
+  for (const SimdLevel lvl : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (simd_level_available(lvl)) {
       EXPECT_STREQ(spectral_kernels(lvl).name, simd_level_name(lvl));
     } else {
@@ -169,8 +167,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SimdEngineSweep,
     ::testing::Combine(::testing::Values(8, 16, 64, 128, 256, 1024),
                        ::testing::Values(SimdLevel::kScalar, SimdLevel::kAvx2,
-                                         SimdLevel::kAvx512,
-                                         SimdLevel::kNeon)),
+                                         SimdLevel::kAvx512)),
     [](const auto& info) {
       return "n" + std::to_string(std::get<0>(info.param)) + "_" +
              simd_level_name(std::get<1>(info.param));

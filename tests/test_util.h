@@ -32,8 +32,7 @@ inline const SharedKeys& shared_keys() {
 /// vector tier the CPU can execute (an AVX-512 host tests avx2 AND avx512).
 inline std::vector<SimdLevel> testable_levels() {
   std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  for (const SimdLevel lvl :
-       {SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kNeon}) {
+  for (const SimdLevel lvl : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (simd_level_available(lvl)) levels.push_back(lvl);
   }
   return levels;
