@@ -34,8 +34,10 @@ SimdLevel detect_simd_level() {
 
 bool simd_level_available(SimdLevel level) {
   // Levels are ordered scalar < avx2 < avx512, and a CPU runs every level up
-  // to the one it detects (AVX-512 implies AVX2+FMA).
-  return level <= detect_simd_level();
+  // to the one it detects (AVX-512 implies AVX2+FMA). Detected once:
+  // spectral_kernels() asks on every keyswitch flush and decomposition.
+  static const SimdLevel hw = detect_simd_level();
+  return level <= hw;
 }
 
 SimdLevel resolve_simd_level(const char* override_value, SimdLevel hw) {

@@ -130,8 +130,4 @@ void DoubleFftEngine::add_constant(Spectral& dst, Torus32 g) const {
   for (int k = 0; k < m_; ++k) dst.v[k] += gd;
 }
 
-void DoubleFftEngine::add_assign(Spectral& dst, const Spectral& src) const {
-  for (int k = 0; k < m_; ++k) dst.v[k] += src.v[k];
-}
-
 } // namespace matcha

@@ -58,8 +58,6 @@ class DoubleFftEngine {
   void rot_scale_add(Spectral& dst, const Spectral& src, int64_t c) const;
   /// dst += g (a constant polynomial g has constant spectrum g).
   void add_constant(Spectral& dst, Torus32 g) const;
-  /// dst += src.
-  void add_assign(Spectral& dst, const Spectral& src) const;
 
   EngineCounters& counters() const { return counters_; }
 

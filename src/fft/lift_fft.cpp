@@ -208,11 +208,4 @@ void LiftFftEngine::add_constant(Spectral& dst, Torus32 g) const {
   for (int k = 0; k < m_; ++k) dst.re[k] += gi;
 }
 
-void LiftFftEngine::add_assign(Spectral& dst, const Spectral& src) const {
-  for (int k = 0; k < m_; ++k) {
-    dst.re[k] += src.re[k];
-    dst.im[k] += src.im[k];
-  }
-}
-
 } // namespace matcha

@@ -82,7 +82,6 @@ class LiftFftEngine {
   /// cluster's integer multipliers (kRotFracBits fixed-point), not lifting.
   void rot_scale_add(Spectral& dst, const Spectral& src, int64_t c) const;
   void add_constant(Spectral& dst, Torus32 g) const;
-  void add_assign(Spectral& dst, const Spectral& src) const;
 
   /// Apply one quantized rotation in place (exposed for the
   /// perfect-reconstruction property tests).

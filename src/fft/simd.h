@@ -3,7 +3,9 @@
 // Each ISA is a policy struct exposing the same tiny vocabulary of W-wide
 // double-lane operations; fft/spectral_kernels_impl.h instantiates one
 // kernel set per policy and the per-ISA TUs export them behind the runtime
-// vtable (fft/spectral_kernels.h). The policies are deliberately minimal:
+// vtable (fft/spectral_kernels.h). Every kernel is written once over these
+// policies, so this is the only file under src/ that names an x86 intrinsic
+// (CI checks it). The policies are deliberately minimal:
 // load/store, add/sub/mul, fused multiply-add/sub, int32->double widening,
 // the library's fixed rounding point, the Torus32 wrap-around store, and the
 // shuffle-heavy end of the transform that cannot be expressed lane-wise. On
@@ -15,12 +17,18 @@
 // and fmsub/fmadd-with-separate-mul twiddle products as the generic
 // butterflies of fft/spectral_kernels_impl.h.
 //
+// The index-heavy kernels add a rotation-table vocabulary: a W-lane index
+// vector vi, the rotation index (ft1[k] * c) & (2N - 1), a table gather into
+// double lanes, and fnmadd.
+//
 // Alongside the double lanes every policy exposes a WU-wide *integer* lane
-// vocabulary over uint32 (load/store, add/sub, shift/mask, nonzero-select).
-// Torus arithmetic is exact mod 2^32, so these lanes are bit-identical
-// across every ISA by construction; the keyswitch kernels (digit extraction
-// and the streaming row accumulate, fft/spectral_kernels_impl.h) are built
-// from them.
+// vocabulary over uint32 (load/store, add/sub/low multiply, shift/mask, a
+// lane ramp, a gather that reads only where a digit is nonzero, and a
+// horizontal sum). Torus arithmetic is exact mod 2^32, so these lanes are
+// bit-identical across every ISA by construction; the gadget decomposition
+// and the keyswitch kernels (digit extraction, the gathered b-plane sum and
+// the streaming row accumulate, fft/spectral_kernels_impl.h) are built from
+// them.
 //
 // Rounding contract: round_away(x) = trunc(x + copysign(0.5, x)) -- round
 // half away from zero, the same rule std::llround applies. All policies
@@ -59,6 +67,7 @@ struct Scalar {
   static vd mul(vd a, vd b) { return a * b; }
   static vd fmadd(vd a, vd b, vd c) { return a * b + c; }
   static vd fmsub(vd a, vd b, vd c) { return a * b - c; }
+  static vd fnmadd(vd a, vd b, vd c) { return c - a * b; }
   static vd load_i32(const int32_t* p) { return static_cast<double>(*p); }
   static vd round_away(vd x) {
     // trunc via the toward-zero int64 conversion (one cvttsd2si): identical
@@ -80,6 +89,16 @@ struct Scalar {
     }
   }
 
+  // Rotation-table lanes.
+  using vi = uint32_t;
+  /// (ft[k] * c) & mask per lane. The product wraps mod 2^32, which a
+  /// power-of-two mask (2N - 1) preserves.
+  static vi rot_index(const int32_t* ft, uint32_t c, uint32_t mask) {
+    return (static_cast<uint32_t>(*ft) * c) & mask;
+  }
+  /// table[idx] per lane.
+  static vd gather(const double* table, vi idx) { return table[idx]; }
+
   // Integer (uint32) lanes.
   static constexpr int WU = 1;
   using vu = uint32_t;
@@ -88,10 +107,18 @@ struct Scalar {
   static vu set1_u32(uint32_t x) { return x; }
   static vu add_u32(vu a, vu b) { return a + b; }
   static vu sub_u32(vu a, vu b) { return a - b; }
+  static vu mullo_u32(vu a, vu b) { return a * b; }
   static vu and_u32(vu a, vu b) { return a & b; }
   static vu srl_u32(vu a, int count) { return a >> count; }
-  /// Per-lane: cond != 0 ? a : b.
-  static vu select_nz_u32(vu cond, vu a, vu b) { return cond != 0 ? a : b; }
+  /// Lane i holds i.
+  static vu ramp_u32() { return 0; }
+  /// Per-lane: cond != 0 ? table[idx] : 0; lanes whose cond is zero read
+  /// nothing (their idx need not be a valid offset).
+  static vu gather_nz_u32(const uint32_t* table, vu idx, vu cond) {
+    return cond != 0 ? table[idx] : 0;
+  }
+  /// Sum of the lanes mod 2^32.
+  static uint32_t hsum_u32(vu a) { return a; }
 };
 
 // ------------------------------------------------------------- AVX2 + FMA
@@ -108,6 +135,7 @@ struct Avx2 {
   static vd mul(vd a, vd b) { return _mm256_mul_pd(a, b); }
   static vd fmadd(vd a, vd b, vd c) { return _mm256_fmadd_pd(a, b, c); }
   static vd fmsub(vd a, vd b, vd c) { return _mm256_fmsub_pd(a, b, c); }
+  static vd fnmadd(vd a, vd b, vd c) { return _mm256_fnmadd_pd(a, b, c); }
   static vd load_i32(const int32_t* p) {
     return _mm256_cvtepi32_pd(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
@@ -197,6 +225,23 @@ struct Avx2 {
     }
   }
 
+  // Rotation-table lanes: four int32 indices feed a four-double gather.
+  using vi = __m128i;
+  static vi rot_index(const int32_t* ft, uint32_t c, uint32_t mask) {
+    const __m128i f = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ft));
+    return _mm_and_si128(
+        _mm_mullo_epi32(f, _mm_set1_epi32(static_cast<int32_t>(c))),
+        _mm_set1_epi32(static_cast<int32_t>(mask)));
+  }
+  /// The masked gather with a zero source and an all-lanes mask: the same
+  /// load as _mm256_i32gather_pd, without the _mm256_undefined_pd source
+  /// that trips GCC's -Wmaybe-uninitialized inside the intrinsic header.
+  static vd gather(const double* table, vi idx) {
+    return _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), table, idx,
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+  }
+
   // Integer (uint32) lanes.
   static constexpr int WU = 8;
   using vu = __m256i;
@@ -211,13 +256,25 @@ struct Avx2 {
   }
   static vu add_u32(vu a, vu b) { return _mm256_add_epi32(a, b); }
   static vu sub_u32(vu a, vu b) { return _mm256_sub_epi32(a, b); }
+  static vu mullo_u32(vu a, vu b) { return _mm256_mullo_epi32(a, b); }
   static vu and_u32(vu a, vu b) { return _mm256_and_si256(a, b); }
   static vu srl_u32(vu a, int count) {
     return _mm256_srl_epi32(a, _mm_cvtsi32_si128(count));
   }
-  static vu select_nz_u32(vu cond, vu a, vu b) {
-    const vu is_zero = _mm256_cmpeq_epi32(cond, _mm256_setzero_si256());
-    return _mm256_blendv_epi8(a, b, is_zero);
+  static vu ramp_u32() { return _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7); }
+  static vu gather_nz_u32(const uint32_t* table, vu idx, vu cond) {
+    const vu zero = _mm256_setzero_si256();
+    const vu nz = _mm256_xor_si256(_mm256_cmpeq_epi32(cond, zero),
+                                   _mm256_set1_epi32(-1));
+    return _mm256_mask_i32gather_epi32(
+        zero, reinterpret_cast<const int*>(table), idx, nz, 4);
+  }
+  static uint32_t hsum_u32(vu a) {
+    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(a),
+                              _mm256_extracti128_si256(a, 1));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+    return static_cast<uint32_t>(_mm_cvtsi128_si32(s));
   }
 
  private:
@@ -258,6 +315,7 @@ struct Avx512 {
   static vd mul(vd a, vd b) { return _mm512_mul_pd(a, b); }
   static vd fmadd(vd a, vd b, vd c) { return _mm512_fmadd_pd(a, b, c); }
   static vd fmsub(vd a, vd b, vd c) { return _mm512_fmsub_pd(a, b, c); }
+  static vd fnmadd(vd a, vd b, vd c) { return _mm512_fnmadd_pd(a, b, c); }
   // The zero-masked forms with an all-ones mask below compile to the same
   // unmasked instructions as the plain intrinsics, whose GCC expansions pass
   // an _mm512_undefined_* source and trip -Wmaybe-uninitialized.
@@ -324,6 +382,19 @@ struct Avx512 {
     }
   }
 
+  // Rotation-table lanes: eight int32 indices feed an eight-double gather.
+  using vi = __m256i;
+  static vi rot_index(const int32_t* ft, uint32_t c, uint32_t mask) {
+    const __m256i f = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ft));
+    return _mm256_and_si256(
+        _mm256_mullo_epi32(f, _mm256_set1_epi32(static_cast<int32_t>(c))),
+        _mm256_set1_epi32(static_cast<int32_t>(mask)));
+  }
+  /// Zero source, all-lanes mask: see Avx2::gather.
+  static vd gather(const double* table, vi idx) {
+    return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, idx, table, 8);
+  }
+
   // Integer (uint32) lanes.
   static constexpr int WU = 16;
   using vu = __m512i;
@@ -338,14 +409,37 @@ struct Avx512 {
   }
   static vu add_u32(vu a, vu b) { return _mm512_add_epi32(a, b); }
   static vu sub_u32(vu a, vu b) { return _mm512_sub_epi32(a, b); }
+  static vu mullo_u32(vu a, vu b) { return _mm512_mullo_epi32(a, b); }
   static vu and_u32(vu a, vu b) { return _mm512_and_si512(a, b); }
   static vu srl_u32(vu a, int count) {
     return _mm512_maskz_srl_epi32(0xFFFF, a, _mm_cvtsi32_si128(count));
   }
-  static vu select_nz_u32(vu cond, vu a, vu b) {
-    const __mmask16 nz =
-        _mm512_test_epi32_mask(cond, cond); // lane != 0
-    return _mm512_mask_blend_epi32(nz, b, a);
+  static vu ramp_u32() {
+    return _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                             15);
+  }
+  /// The cond != 0 mask register goes straight into the gather.
+  static vu gather_nz_u32(const uint32_t* table, vu idx, vu cond) {
+    return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(),
+                                       _mm512_test_epi32_mask(cond, cond), idx,
+                                       table, 4);
+  }
+  static uint32_t hsum_u32(vu a) {
+    // Vector adds the whole way down (_mm512_reduce_add_epi32 lowers to
+    // scalar signed +, which is UB on wrap -- torus sums wrap by design).
+    // Both halves through zero-masked extracts with an all-ones mask: the
+    // same builtins as _mm512_castsi512_si256 (a double-lane extract of the
+    // low half) and _mm512_extracti64x4_epi64, without the _mm*_undefined_*
+    // sources that trip GCC's -Wuninitialized.
+    const __m256i lo = _mm256_castpd_si256(
+        _mm512_maskz_extractf64x4_pd(0xFF, _mm512_castsi512_pd(a), 0));
+    const __m256i s256 =
+        _mm256_add_epi32(lo, _mm512_maskz_extracti64x4_epi64(0xFF, a, 1));
+    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(s256),
+                              _mm256_extracti128_si256(s256, 1));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+    return static_cast<uint32_t>(_mm_cvtsi128_si32(s));
   }
 
  private:

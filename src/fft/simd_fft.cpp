@@ -76,12 +76,6 @@ void SimdFftEngine::add_constant(Spectral& dst, Torus32 g) const {
   for (int k = 0; k < m_; ++k) dr[k] += gd;
 }
 
-void SimdFftEngine::add_assign(Spectral& dst, const Spectral& src) const {
-  assert(dst.size() == m_ && src.size() == m_);
-  kernels_->add_assign(m_, dst.re.data(), dst.im.data(), src.re.data(),
-                       src.im.data());
-}
-
 void SimdFftEngine::forward_raw(const int32_t* in, double* re, double* im) const {
   ScopedTimer t(counters_.to_spectral_ns, counters_.to_spectral_calls);
   kernels_->forward(plan_, in, re, im);

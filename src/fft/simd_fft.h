@@ -1,8 +1,8 @@
 // SIMD-vectorized split-format spectral engine -- the fast software path.
 //
 // Drop-in engine (same concept as DoubleFftEngine/LiftFftEngine: Spectral
-// typedefs + to/from_spectral + mac/rot_scale_add/add_*) built for speed on
-// commodity CPUs:
+// typedefs + to/from_spectral + mac/rot_scale_add/add_constant) built for
+// speed on commodity CPUs:
 //
 //   * planar SpectralP operands (aligned re[]/im[] planes, spectral.h) so
 //     every kernel is contiguous full-width vector arithmetic;
@@ -11,8 +11,8 @@
 //     stage; the spectrum stays in digit-reversed storage order, so the
 //     MAC-only external-product path never runs a bit-reverse pass
 //     (fft/spectral_kernels.h documents the dataflow);
-//   * kernels hand-vectorized for AVX2+FMA and AVX-512 behind the fft/simd.h
-//     policy shim, selected at runtime (common/simd_dispatch.h; the scalar
+//   * kernels written once over the fft/simd.h policies (scalar, AVX2+FMA,
+//     AVX-512), selected at runtime (common/simd_dispatch.h; the scalar
 //     set is the always-available fallback and the MATCHA_SIMD=off CI leg).
 //
 // Exactness: like the double engine, results are decrypt-path bit-identical
@@ -69,8 +69,6 @@ class SimdFftEngine {
   void rot_scale_add(Spectral& dst, const Spectral& src, int64_t c) const;
   /// dst += g (a constant polynomial has constant spectrum, order-agnostic).
   void add_constant(Spectral& dst, Torus32 g) const;
-  /// dst += src.
-  void add_assign(Spectral& dst, const Spectral& src) const;
 
   /// Raw planar entry points for the fused external product below. Each call
   /// is one timed to_spectral / from_spectral kernel invocation (the counter

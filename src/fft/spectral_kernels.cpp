@@ -1,5 +1,5 @@
-// Plan construction + runtime kernel dispatch. The scalar kernel set is
-// instantiated here; the AVX2/AVX-512 sets live in their own TUs so they
+// Plan construction + runtime kernel dispatch. The scalar kernel table is
+// instantiated here; the AVX2/AVX-512 tables live in their own TUs so they
 // can be compiled with the matching ISA flags.
 #include "fft/spectral_kernels.h"
 
@@ -101,22 +101,8 @@ NegacyclicPlan::NegacyclicPlan(int n_ring) : n(n_ring), m(n_ring / 2) {
 
 namespace {
 
-const SpectralKernels kScalarKernels = {
-    "scalar",
-    &detail::PlanarKernels<simd::Scalar>::forward,
-    &detail::PlanarKernels<simd::Scalar>::inverse_torus,
-    &detail::PlanarKernels<simd::Scalar>::mac,
-    &detail::generic_rot_scale_add,
-    &detail::PlanarKernels<simd::Scalar>::add_assign,
-    &detail::PlanarKernels<simd::Scalar>::scale_add,
-    &detail::generic_rot_factor,
-    &detail::PlanarKernels<simd::Scalar>::mac2,
-    &detail::PlanarKernels<simd::Scalar>::mac2_rows,
-    &detail::generic_decompose,
-    &detail::u32_sub<simd::Scalar>,
-    &detail::ks_digits<simd::Scalar>,
-    &detail::generic_ks_gather_b,
-};
+constexpr SpectralKernels kScalarKernels =
+    detail::kernel_table<simd::Scalar>("scalar");
 
 } // namespace
 
@@ -125,6 +111,7 @@ const SpectralKernels* spectral_kernels_avx2();
 const SpectralKernels* spectral_kernels_avx512();
 
 const SpectralKernels& spectral_kernels(SimdLevel level) {
+  if (!simd_level_available(level)) return kScalarKernels;
   switch (level) {
     case SimdLevel::kAvx512:
       // Degrade within the x86 family: a binary built without the AVX-512 TU

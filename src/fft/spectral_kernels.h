@@ -13,20 +13,21 @@
 //     into the last stage's stores. The MAC-only external-product path
 //     therefore never permutes data.
 //
-// Pointwise kernels (mac, add_assign, add_constant) are order-agnostic. The
-// one index-dependent kernel, rot_scale_add (bundle construction, multiplies
-// by X^{-c} - 1), resolves the storage permutation through the precomputed
-// `ft1` table: slot k holds frequency nat(k), whose rotation factor is
-// root2n[(4*nat(k)+1)*c mod 2N] -- two table gathers per slot instead of the
-// reference engine's serial f *= step recurrence.
+// Pointwise kernels (mac, scale_add, mac2) are order-agnostic. The
+// index-dependent kernels, rot_scale_add and rot_factor (bundle
+// construction, multiplies by X^{-c} - 1), resolve the storage permutation
+// through the precomputed `ft1` table: slot k holds frequency nat(k), whose
+// rotation factor is root2n[(4*nat(k)+1)*c mod 2N] -- two table gathers per
+// slot instead of the reference engine's serial f *= step recurrence.
 //
 // Twiddle tables are interleaved per stage: one aligned buffer holding the
 // six planes {w1.re, w1.im, w2.re, w2.im, w3.re, w3.im}, each padded to a
 // vector boundary, so a stage touches one contiguous table block.
 //
-// Kernel implementations live in per-ISA translation units
+// Every kernel is written once, as a template over the fft/simd.h policies
+// (spectral_kernels_impl.h); each per-ISA translation unit
 // (spectral_kernels.cpp scalar, spectral_kernels_{avx2,avx512}.cpp)
-// instantiating spectral_kernels_impl.h over the fft/simd.h policies;
+// instantiates the one table template for its policy, and
 // spectral_kernels() picks the vtable for a SimdLevel at runtime.
 #pragma once
 
@@ -97,9 +98,6 @@ struct SpectralKernels {
   /// dst += (X^{-c} - 1) * src (c mod 2N); dst must not alias src.
   void (*rot_scale_add)(const NegacyclicPlan& plan, double* dr, double* di,
                         const double* sr, const double* si, int64_t c);
-  /// dst += src over m slots.
-  void (*add_assign)(int m, double* dr, double* di, const double* sr,
-                     const double* si);
   /// dst += c * src over m slots (real constant, both planes). The fused
   /// bundle path uses this for the gadget-identity term: H's row j is the
   /// real constant Bg^{-(j+1)}, so its MAC against a digit spectrum is a
@@ -166,8 +164,9 @@ struct SpectralKernels {
                           int rows, int base);
 };
 
-/// The kernel set for `level`. Requesting a level this binary/CPU cannot run
-/// returns the scalar set.
+/// The kernel set for `level`. A level the CPU cannot run
+/// (simd_level_available) returns the scalar set; an AVX-512 request in a
+/// binary built without that tier's TU returns the AVX2 set.
 const SpectralKernels& spectral_kernels(SimdLevel level);
 
 } // namespace matcha

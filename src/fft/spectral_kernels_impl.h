@@ -1,22 +1,20 @@
-// Generic planar-kernel bodies, templated over a fft/simd.h policy.
+// The spectral kernel bodies, each written once as a template over a
+// fft/simd.h policy; kernel_table<P> at the end is policy P's vtable.
 //
 // Included by the per-ISA translation units only
 // (spectral_kernels{,_avx2,_avx512}.cpp); never include this from
-// headers. Each elementwise loop runs a full-width vector body followed by a
-// simd::Scalar tail that reuses the exact same butterfly template at W = 1.
+// headers. Each loop runs a full-width vector body followed by a
+// simd::Scalar tail that reuses the exact same step template at W = 1.
 // A plan with a pair stage and at least two radix-4 stages (has_leaf: m =
 // 2*4^t, N >= 64) ends in the leaf instead of a q = 2 stage and a pair pass,
 // so on every tier none of its butterflies reaches a tail; the tails serve
 // the q = 1 stage of m = 4^t plans (and q = 4 on AVX-512) and N = 16's
 // twist stage.
-//
-// Index-heavy kernels that need integer lanes (rot_scale_add's table
-// gathers, decompose's shift/mask pipeline) get portable scalar bodies here;
-// the AVX2 TU overrides them with hand-vectorized versions.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <utility>
 
 #include "fft/simd.h"
 #include "fft/spectral_kernels.h"
@@ -241,6 +239,66 @@ inline void dit_leaves(const PlanStage& st, const double* sre,
   }
 }
 
+/// The plan's rotation tables for one exponent c: slot k's factor
+/// X^{-c} - 1 is rot[idx] - 1 at idx = ft1[k] * c mod 2N (a mask -- N is a
+/// power of two). Locals of the kernels, so the pointers stay in registers
+/// across the slot loop.
+struct RotTables {
+  const int32_t* ft1;
+  const double* re;
+  const double* im;
+  uint32_t c;    ///< c mod 2N
+  uint32_t mask; ///< 2N - 1
+
+  RotTables(const NegacyclicPlan& plan, int64_t c_in)
+      : ft1(plan.ft1.data()), re(plan.rot_re.data()), im(plan.rot_im.data()) {
+    const int64_t two_n = 2 * static_cast<int64_t>(plan.n);
+    mask = static_cast<uint32_t>(two_n - 1);
+    c = static_cast<uint32_t>((c_in % two_n) + two_n) & mask;
+  }
+};
+
+/// The rotation factor's (re, im) at slots [k, k + P::W): two table
+/// gathers per slot instead of the reference engine's serial f *= step
+/// recurrence.
+template <class P>
+inline std::pair<typename P::vd, typename P::vd> rot_at(const RotTables& t,
+                                                       int k) {
+  const auto idx = P::rot_index(t.ft1 + k, t.c, t.mask);
+  return {P::sub(P::gather(t.re, idx), P::set1(1.0)), P::gather(t.im, idx)};
+}
+
+/// dst += (X^{-c} - 1) * src at slots [k, k + P::W).
+template <class P>
+inline void rot_scale_add_step(const RotTables& t, double* dr, double* di,
+                               const double* sr, const double* si, int k) {
+  using v = typename P::vd;
+  const auto [fr, fi] = rot_at<P>(t, k);
+  const v xr = P::load(sr + k), xi = P::load(si + k);
+  P::store(dr + k, P::fmadd(fr, xr, P::fnmadd(fi, xi, P::load(dr + k))));
+  P::store(di + k, P::fmadd(fr, xi, P::fmadd(fi, xr, P::load(di + k))));
+}
+
+/// The rotation factor itself, stored to fr/fi at slots [k, k + P::W).
+template <class P>
+inline void rot_factor_step(const RotTables& t, double* fr, double* fi,
+                            int k) {
+  const auto [re, im] = rot_at<P>(t, k);
+  P::store(fr + k, re);
+  P::store(fi + k, im);
+}
+
+/// One gadget level's digits at lanes [i, i + P::WU): ((p[i] + off) >> sh)
+/// & mask, minus `center` (decompose's signed recentering; ks_digits keeps
+/// unsigned digits, center 0).
+template <class P>
+inline void digit_step(const uint32_t* p, uint32_t off, int sh, uint32_t mask,
+                       uint32_t center, uint32_t* out, int i) {
+  const auto biased = P::add_u32(P::load_u32(p + i), P::set1_u32(off));
+  const auto raw = P::and_u32(P::srl_u32(biased, sh), P::set1_u32(mask));
+  P::store_u32(out + i, P::sub_u32(raw, P::set1_u32(center)));
+}
+
 template <class V>
 struct PlanarKernels {
   // The #pragma GCC ivdep below assert what the butterfly index algebra
@@ -354,19 +412,6 @@ struct PlanarKernels {
     }
   }
 
-  static void add_assign(int m, double* dr, double* di, const double* sr,
-                         const double* si) {
-    int k = 0;
-    for (; k + V::W <= m; k += V::W) {
-      V::store(dr + k, V::add(V::load(dr + k), V::load(sr + k)));
-      V::store(di + k, V::add(V::load(di + k), V::load(si + k)));
-    }
-    for (; k < m; ++k) {
-      dr[k] += sr[k];
-      di[k] += si[k];
-    }
-  }
-
   static void scale_add(int m, double* dr, double* di, const double* sr,
                         const double* si, double c) {
     using v = typename V::vd;
@@ -379,6 +424,52 @@ struct PlanarKernels {
     for (; k < m; ++k) {
       dr[k] += c * sr[k];
       di[k] += c * si[k];
+    }
+  }
+
+  /// dst += (X^{-c} - 1) * src over the m slots; every tier associates
+  /// each plane as fmadd(fr, x, fnmadd(fi, y, acc)) (re) and
+  /// fmadd(fr, y, fmadd(fi, x, acc)) (im).
+  static void rot_scale_add(const NegacyclicPlan& plan, double* dr,
+                            double* di, const double* sr, const double* si,
+                            int64_t c) {
+    const RotTables t(plan, c);
+    const int m = plan.m;
+    int k = 0;
+    for (; k + V::W <= m; k += V::W) rot_scale_add_step<V>(t, dr, di, sr, si, k);
+    for (; k < m; ++k) rot_scale_add_step<simd::Scalar>(t, dr, di, sr, si, k);
+  }
+
+  /// The X^{-c} - 1 factor in storage order. The fused bundle path calls
+  /// this once per active key subset, hoisting the table gathers out of the
+  /// mac2 hot loop -- the factor is identical for all 2l decomposition rows
+  /// of a subset.
+  static void rot_factor(const NegacyclicPlan& plan, double* fr, double* fi,
+                         int64_t c) {
+    const RotTables t(plan, c);
+    const int m = plan.m;
+    int k = 0;
+    for (; k + V::W <= m; k += V::W) rot_factor_step<V>(t, fr, fi, k);
+    for (; k < m; ++k) rot_factor_step<simd::Scalar>(t, fr, fi, k);
+  }
+
+  /// Signed gadget decomposition, one contiguous pass per digit. The int32
+  /// digits go through uint32 lanes: the recentering subtraction wraps to
+  /// the same bits.
+  static void decompose(int l, int bg_bits, uint32_t offset, int n,
+                        const uint32_t* p, int32_t* const* digits) {
+    const uint32_t mask = (1u << bg_bits) - 1;
+    const uint32_t half = 1u << (bg_bits - 1);
+    for (int j = 0; j < l; ++j) {
+      const int sh = 32 - (j + 1) * bg_bits;
+      uint32_t* dj = reinterpret_cast<uint32_t*>(digits[j]);
+      int i = 0;
+      for (; i + V::WU <= n; i += V::WU) {
+        digit_step<V>(p, offset, sh, mask, half, dj, i);
+      }
+      for (; i < n; ++i) {
+        digit_step<simd::Scalar>(p, offset, sh, mask, half, dj, i);
+      }
     }
   }
 
@@ -546,57 +637,6 @@ struct PlanarKernels {
   }
 };
 
-/// Portable rot_scale_add: per slot, two table lookups replace the serial
-/// f *= step recurrence (mod 2N is a mask -- N is a power of two).
-inline void generic_rot_scale_add(const NegacyclicPlan& plan, double* dr,
-                                  double* di, const double* sr,
-                                  const double* si, int64_t c) {
-  const int64_t two_n = 2 * static_cast<int64_t>(plan.n);
-  const uint32_t mask = static_cast<uint32_t>(two_n - 1);
-  const uint32_t cm = static_cast<uint32_t>((c % two_n) + two_n) & mask;
-  for (int k = 0; k < plan.m; ++k) {
-    const uint32_t idx =
-        (static_cast<uint32_t>(plan.ft1[k]) * cm) & mask;
-    const double fr = plan.rot_re[idx] - 1.0;
-    const double fi = plan.rot_im[idx];
-    dr[k] += fr * sr[k] - fi * si[k];
-    di[k] += fr * si[k] + fi * sr[k];
-  }
-}
-
-/// Portable rotation-factor materialization: fr/fi receive the pointwise
-/// X^{-c} - 1 factor in storage order (same ft1 gathers as rot_scale_add).
-/// The fused bundle path calls this once per active key subset, hoisting
-/// the table gathers out of the mac2 hot loop -- the factor is
-/// identical for all 2l decomposition rows of a subset.
-inline void generic_rot_factor(const NegacyclicPlan& plan,
-                               double* __restrict fr, double* __restrict fi,
-                               int64_t c) {
-  const int64_t two_n = 2 * static_cast<int64_t>(plan.n);
-  const uint32_t mask = static_cast<uint32_t>(two_n - 1);
-  const uint32_t cm = static_cast<uint32_t>((c % two_n) + two_n) & mask;
-  for (int k = 0; k < plan.m; ++k) {
-    const uint32_t idx =
-        (static_cast<uint32_t>(plan.ft1[k]) * cm) & mask;
-    fr[k] = plan.rot_re[idx] - 1.0;
-    fi[k] = plan.rot_im[idx];
-  }
-}
-
-/// Portable signed gadget decomposition; one contiguous pass per digit.
-inline void generic_decompose(int l, int bg_bits, uint32_t offset, int n,
-                              const uint32_t* p, int32_t* const* digits) {
-  const uint32_t mask = (1u << bg_bits) - 1;
-  const int32_t half = 1 << (bg_bits - 1);
-  for (int j = 0; j < l; ++j) {
-    const int sh = 32 - (j + 1) * bg_bits;
-    int32_t* dj = digits[j];
-    for (int i = 0; i < n; ++i) {
-      dj[i] = static_cast<int32_t>(((p[i] + offset) >> sh) & mask) - half;
-    }
-  }
-}
-
 // ---------------------------------------------------- keyswitch kernels
 // Pure uint32 arithmetic (exact mod 2^32): every policy's lanes compute the
 // same bits, so the vector body + scalar tail split never changes results.
@@ -617,32 +657,67 @@ template <class V>
 void ks_digits(const uint32_t* a, int n_in, int t, int basebit, uint32_t off,
                uint32_t* out) {
   const uint32_t mask = (1u << basebit) - 1;
-  const auto voff = V::set1_u32(off);
-  const auto vmask = V::set1_u32(mask);
   for (int j = 0; j < t; ++j) {
     const int sh = 32 - (j + 1) * basebit;
     uint32_t* oj = out + static_cast<size_t>(j) * n_in;
     int i = 0;
-    for (; i + V::WU <= n_in; i += V::WU) {
-      const auto biased = V::add_u32(V::load_u32(a + i), voff);
-      V::store_u32(oj + i, V::and_u32(V::srl_u32(biased, sh), vmask));
-    }
-    for (; i < n_in; ++i) oj[i] = ((a[i] + off) >> sh) & mask;
+    for (; i + V::WU <= n_in; i += V::WU) digit_step<V>(a, off, sh, mask, 0, oj, i);
+    for (; i < n_in; ++i) digit_step<simd::Scalar>(a, off, sh, mask, 0, oj, i);
   }
 }
 
-/// Gathered b-plane sum. Scalar body -- the b plane is `rows` words against
-/// the a planes' `rows*n_out`, so this is off the roofline; the AVX2/AVX-512
-/// TUs override it with masked hardware gathers.
-inline uint32_t generic_ks_gather_b(const uint32_t* d, const uint32_t* b_plane,
-                                    int rows, int base) {
-  const int stride = base - 1;
-  uint32_t acc = 0;
-  for (int r = 0; r < rows; ++r) {
-    const uint32_t v = d[r];
-    if (v != 0) acc += b_plane[static_cast<size_t>(r) * stride + (v - 1)];
+/// The selected b-plane entries of rows [r, r + P::WU): b_plane[r*stride +
+/// d[r] - 1] where d[r] != 0 (a zero digit has no key row), else 0.
+template <class P>
+inline typename P::vu ks_gather_b_step(const uint32_t* d,
+                                       const uint32_t* b_plane,
+                                       uint32_t stride, int r) {
+  const auto v = P::load_u32(d + r);
+  const auto row = P::add_u32(P::set1_u32(static_cast<uint32_t>(r)),
+                              P::ramp_u32());
+  const auto idx = P::add_u32(P::mullo_u32(row, P::set1_u32(stride)),
+                              P::sub_u32(v, P::set1_u32(1)));
+  return P::gather_nz_u32(b_plane, idx, v);
+}
+
+/// Gathered b-plane sum (mod 2^32) over the `rows` digits of one sample.
+/// The b plane is `rows` words against the a planes' `rows*n_out`, so this
+/// is off the roofline.
+template <class V>
+uint32_t ks_gather_b(const uint32_t* d, const uint32_t* b_plane, int rows,
+                     int base) {
+  const uint32_t stride = static_cast<uint32_t>(base - 1);
+  auto acc = V::set1_u32(0);
+  int r = 0;
+  for (; r + V::WU <= rows; r += V::WU) {
+    acc = V::add_u32(acc, ks_gather_b_step<V>(d, b_plane, stride, r));
   }
-  return acc;
+  uint32_t sum = V::hsum_u32(acc);
+  for (; r < rows; ++r) {
+    sum += ks_gather_b_step<simd::Scalar>(d, b_plane, stride, r);
+  }
+  return sum;
+}
+
+/// Policy P's kernel set: every slot is one of the templates above.
+template <class P>
+constexpr SpectralKernels kernel_table(const char* name) {
+  using K = PlanarKernels<P>;
+  return {
+      .name = name,
+      .forward = &K::forward,
+      .inverse_torus = &K::inverse_torus,
+      .mac = &K::mac,
+      .rot_scale_add = &K::rot_scale_add,
+      .scale_add = &K::scale_add,
+      .rot_factor = &K::rot_factor,
+      .mac2 = &K::mac2,
+      .mac2_rows = &K::mac2_rows,
+      .decompose = &K::decompose,
+      .u32_sub = &u32_sub<P>,
+      .ks_digits = &ks_digits<P>,
+      .ks_gather_b = &ks_gather_b<P>,
+  };
 }
 
 } // namespace matcha::detail

@@ -24,7 +24,7 @@ constexpr uint32_t kVersion = 3;
 // an absurd allocation on behalf of a hostile blob.
 constexpr int64_t kMaxLweDim = 1 << 22;
 constexpr int64_t kMaxRingN = 1 << 20;
-constexpr int64_t kMaxRingK = 64;
+constexpr int64_t kRingK = 1; // the library fixes k = 1 (tfhe/params.h)
 constexpr int64_t kMaxGadgetL = 64;
 constexpr int64_t kMaxUnroll = 8;
 constexpr int64_t kMaxTgswRows = 1 << 16;
@@ -231,7 +231,7 @@ TfheParams read_params_impl(std::istream& is) {
   check_sigma(p.lwe.sigma, "TfheParams.lwe.sigma");
   check_range(p.ring.n_ring, 2, kMaxRingN, "TfheParams.ring.n_ring");
   check_pow2(p.ring.n_ring, "TfheParams.ring.n_ring");
-  check_range(p.ring.k, 1, kMaxRingK, "TfheParams.ring.k");
+  check_range(p.ring.k, kRingK, kRingK, "TfheParams.ring.k");
   check_sigma(p.ring.sigma, "TfheParams.ring.sigma");
   check_range(p.gadget.bg_bits, 1, 31, "TfheParams.gadget.bg_bits");
   check_range(p.gadget.l, 1, kMaxGadgetL, "TfheParams.gadget.l");
@@ -357,7 +357,7 @@ UnrolledBootstrapKey read_bootstrap_key_impl(std::istream& is) {
   check_range(k.n_lwe, 1, kMaxLweDim, "UnrolledBootstrapKey.n_lwe");
   check_range(k.ring.n_ring, 2, kMaxRingN, "UnrolledBootstrapKey.n_ring");
   check_pow2(k.ring.n_ring, "UnrolledBootstrapKey.n_ring");
-  check_range(k.ring.k, 1, kMaxRingK, "UnrolledBootstrapKey.ring.k");
+  check_range(k.ring.k, kRingK, kRingK, "UnrolledBootstrapKey.ring.k");
   check_sigma(k.ring.sigma, "UnrolledBootstrapKey.ring.sigma");
   check_range(k.gadget.bg_bits, 1, 31, "UnrolledBootstrapKey.bg_bits");
   check_range(k.gadget.l, 1, kMaxGadgetL, "UnrolledBootstrapKey.l");
@@ -411,7 +411,7 @@ CloudKeyset read_cloud_keyset_impl(std::istream& is) {
   if (ck.bk.n_lwe != ck.params.lwe.n ||
       ck.bk.ring.n_ring != ck.params.ring.n_ring ||
       ck.ks.n_out != ck.params.lwe.n ||
-      ck.ks.n_in != ck.params.ring.n_ring * ck.params.ring.k) {
+      ck.ks.n_in != ck.params.ring.n_ring) {
     fail(out_of_range_status(
         "matcha::io: CloudKeyset keys disagree with its parameter set"));
   }

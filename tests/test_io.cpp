@@ -106,6 +106,28 @@ TEST(Io, BootstrapKeyWithOversizedTailGroupIsRejected) {
   expect_bootstrap_key_rejected(ck);
 }
 
+TEST(Io, CloudKeysetWithRingKOtherThanOneIsRejected) {
+  // The library fixes k = 1 (tfhe/params.h). A keyset claiming k = 2 whose
+  // keyswitch key comes from a 2N-dimension key would make every key switch
+  // read N coefficients past the N-dimension samples blind rotation
+  // extracts.
+  const auto& K = shared_keys();
+  Rng rng = test::test_rng(9);
+  CloudKeyset ck = K.ck1;
+  ck.params.ring.k = 2;
+  const LweKey wide = LweKey::generate(
+      LweParams{.n = 2 * K.params.ring.n_ring, .sigma = K.params.lwe.sigma},
+      rng);
+  ck.ks = make_keyswitch_key(wide, K.sk.lwe, K.params.ks, rng);
+  ASSERT_EQ(ck.ks.n_in, 2 * ck.params.ring.n_ring);
+  std::stringstream ss;
+  write_cloud_keyset(ss, ck);
+  const auto read = try_read_cloud_keyset(ss);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kOutOfRange)
+      << read.status().to_string();
+}
+
 TEST(Io, BadMagicIsInvalidArgument) {
   std::stringstream ss;
   ss.write("JUNKJUNKJUNK", 12);

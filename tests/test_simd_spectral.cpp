@@ -233,7 +233,7 @@ TEST(SimdEngine, AddConstantIsConstantPolynomial) {
   }
 }
 
-TEST(SimdEngine, AddAssignMatchesLinearity) {
+TEST(SimdEngine, TransformIsLinear) {
   const int n = 256;
   for (const SimdLevel level : testable_levels()) {
     Rng rng(7);
@@ -243,7 +243,10 @@ TEST(SimdEngine, AddAssignMatchesLinearity) {
     eng.to_spectral_torus(p, sp);
     eng.to_spectral_torus(q, sq);
     eng.to_spectral_torus(p + q, ssum);
-    eng.add_assign(sp, sq);
+    for (int k = 0; k < n / 2; ++k) {
+      sp.re[k] += sq.re[k];
+      sp.im[k] += sq.im[k];
+    }
     TorusPolynomial from_sum(n), from_add(n);
     eng.from_spectral_torus(ssum, from_sum);
     eng.from_spectral_torus(sp, from_add);
@@ -323,33 +326,117 @@ TEST(SimdEngine, TransformsAgreeAcrossTiers) {
 // ---- decompose kernel equivalence across levels ---------------------------
 
 TEST(SimdEngine, DecomposeBitIdenticalAcrossLevels) {
+  // n = 8 is below AVX-512's 16 uint32 lanes, so that tier runs it entirely
+  // in its scalar tail; n = 256 runs every vector body.
   const GadgetParams gadgets[] = {{.bg_bits = 10, .l = 3},
                                   {.bg_bits = 8, .l = 4},
                                   {.bg_bits = 8, .l = 3},
                                   {.bg_bits = 4, .l = 8}};
   Rng rng(8);
-  const int n = 256;
-  const TorusPolynomial p = random_torus(rng, n);
-  for (const GadgetParams& g : gadgets) {
-    // Reference digits via the documented per-coefficient semantics.
-    std::vector<IntPolynomial> want(static_cast<size_t>(g.l),
-                                    IntPolynomial(n));
-    for (int i = 0; i < n; ++i) {
-      int32_t d[32];
-      decompose_coefficient(g, p.coeffs[static_cast<size_t>(i)], d);
-      for (int j = 0; j < g.l; ++j) want[static_cast<size_t>(j)].coeffs[i] = d[j];
+  for (const int n : {8, 256}) {
+    const TorusPolynomial p = random_torus(rng, n);
+    for (const GadgetParams& g : gadgets) {
+      // Reference digits via the documented per-coefficient semantics.
+      std::vector<IntPolynomial> want(static_cast<size_t>(g.l),
+                                      IntPolynomial(n));
+      for (int i = 0; i < n; ++i) {
+        int32_t d[32];
+        decompose_coefficient(g, p.coeffs[static_cast<size_t>(i)], d);
+        for (int j = 0; j < g.l; ++j) want[static_cast<size_t>(j)].coeffs[i] = d[j];
+      }
+      for (const SimdLevel level : testable_levels()) {
+        std::vector<IntPolynomial> got(static_cast<size_t>(g.l),
+                                       IntPolynomial(n));
+        int32_t* planes[32];
+        for (int j = 0; j < g.l; ++j) planes[j] = got[static_cast<size_t>(j)].coeffs.data();
+        spectral_kernels(level).decompose(g.l, g.bg_bits, g.rounding_offset(),
+                                          n, p.coeffs.data(), planes);
+        for (int j = 0; j < g.l; ++j) {
+          EXPECT_EQ(got[static_cast<size_t>(j)].coeffs,
+                    want[static_cast<size_t>(j)].coeffs)
+              << "n " << n << " digit " << j << " level "
+              << simd_level_name(level);
+        }
+      }
     }
-    for (const SimdLevel level : testable_levels()) {
-      std::vector<IntPolynomial> got(static_cast<size_t>(g.l),
-                                     IntPolynomial(n));
-      int32_t* planes[32];
-      for (int j = 0; j < g.l; ++j) planes[j] = got[static_cast<size_t>(j)].coeffs.data();
-      spectral_kernels(level).decompose(g.l, g.bg_bits, g.rounding_offset(),
-                                        n, p.coeffs.data(), planes);
-      for (int j = 0; j < g.l; ++j) {
-        EXPECT_EQ(got[static_cast<size_t>(j)].coeffs,
-                  want[static_cast<size_t>(j)].coeffs)
-            << "digit " << j << " level " << simd_level_name(level);
+  }
+}
+
+// ---- index kernels across levels ------------------------------------------
+
+TEST(SimdEngine, IndexKernelsBitIdenticalAcrossLevels) {
+  // rot_factor is two table gathers per slot and ks_gather_b an integer sum,
+  // so every tier matches their per-slot definitions bit for bit. The vector
+  // bodies of
+  // rot_scale_add share one fmadd/fnmadd association, so avx2 and avx512
+  // agree bit for bit wherever both run only vector bodies (m a multiple of
+  // 8). N = 8 (m = 4) runs AVX-512's rotation kernels entirely in their
+  // simd::Scalar tail, whose products are fused only where the compiler
+  // contracts them (GCC at -O2, not at -O0), so there the two tiers agree
+  // to rounding. Row counts 1, 7, 17 and 100 end in a tail on both vector
+  // tiers.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t exponents[] = {1, 5, 100, 255, 511, -3, -511, 4097, 123456789};
+  Rng rng(10);
+  for (const int n : {8, 16, 64, 1024}) {
+    const NegacyclicPlan plan(n);
+    const int m = plan.m;
+    const size_t planes = 2 * static_cast<size_t>(m); // re | im
+    std::vector<double> src(planes), acc(planes);
+    for (double& x : src) x = static_cast<int32_t>(rng.uniform_torus());
+    for (double& x : acc) x = static_cast<int32_t>(rng.uniform_torus());
+    const double tol = std::ldexp(0x1p31, -40); // |src|, |acc| <= 2^31
+    for (const int64_t c : exponents) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " c " << c);
+      // X^{-c} - 1 at slot k: rot[ft1[k] * c mod 2N] - 1.
+      const int64_t two_n = 2 * static_cast<int64_t>(n);
+      const uint64_t cm = static_cast<uint64_t>((c % two_n + two_n) % two_n);
+      std::vector<double> want(planes);
+      for (int k = 0; k < m; ++k) {
+        const size_t idx = static_cast<size_t>(
+            static_cast<uint64_t>(plan.ft1[static_cast<size_t>(k)]) * cm %
+            static_cast<uint64_t>(two_n));
+        want[static_cast<size_t>(k)] = plan.rot_re[idx] - 1.0;
+        want[static_cast<size_t>(m + k)] = plan.rot_im[idx];
+      }
+      std::vector<double> vector_sum; // the first vector tier's rot_scale_add
+      for (const SimdLevel level : testable_levels()) {
+        const SpectralKernels& k = spectral_kernels(level);
+        std::vector<double> got(planes, nan);
+        k.rot_factor(plan, got.data(), got.data() + m, c);
+        EXPECT_TRUE(same_bits(got, want)) << k.name;
+        if (level == SimdLevel::kScalar) continue;
+        std::vector<double> sum = acc;
+        k.rot_scale_add(plan, sum.data(), sum.data() + m, src.data(),
+                        src.data() + m, c);
+        if (vector_sum.empty()) {
+          vector_sum = sum;
+        } else if (m % 8 == 0) {
+          EXPECT_TRUE(same_bits(sum, vector_sum)) << k.name;
+        } else {
+          for (size_t s = 0; s < planes; ++s) {
+            EXPECT_NEAR(sum[s], vector_sum[s], tol) << k.name << " slot " << s;
+          }
+        }
+      }
+    }
+  }
+  for (const int base : {2, 4, 16}) {
+    for (const int rows : {1, 7, 17, 100, 8192}) {
+      std::vector<uint32_t> d(static_cast<size_t>(rows)),
+          b_plane(static_cast<size_t>(rows) * (base - 1));
+      for (uint32_t& v : d) v = rng.uniform_below(static_cast<uint32_t>(base));
+      for (uint32_t& v : b_plane) v = rng.uniform_torus();
+      uint32_t want = 0; // a zero digit selects no key row
+      for (size_t r = 0; r < d.size(); ++r) {
+        if (d[r] != 0) want += b_plane[r * (base - 1) + d[r] - 1];
+      }
+      for (const SimdLevel level : testable_levels()) {
+        EXPECT_EQ(spectral_kernels(level).ks_gather_b(d.data(), b_plane.data(),
+                                                      rows, base),
+                  want)
+            << "base " << base << " rows " << rows << " level "
+            << simd_level_name(level);
       }
     }
   }
