@@ -190,41 +190,6 @@ void report_fusion(JsonWriter& j, const char* name, CircuitBuilder& builder) {
   j.end_object();
 }
 
-/// The pre-batching sequential bootstrap, reconstructed as the baseline the
-/// fused path is measured against: per sample, every group materializes its
-/// 2l x 2 bundle spectra (build_bundle, over per-TGSW spectra of the cloud
-/// key) and runs a plain external product -- no zero-a skip, no test-vector
-/// spectrum reuse -- then extracts and key switches one sample at a time.
-void bootstrap_materialized_seq(
-    const SimdFftEngine& eng, const UnrolledBootstrapKey& key,
-    const std::vector<std::vector<TGswSpectral<SimdFftEngine>>>& groups,
-    const KeySwitchKey& ks, Torus32 mu, const std::vector<LweSample>& xs,
-    std::vector<LweSample>& outs, BootstrapWorkspace<SimdFftEngine>& ws) {
-  const int n_ring = eng.ring_n();
-  TorusPolynomial testv(n_ring);
-  for (auto& c : testv.coeffs) c = mu;
-  TLweSample acc(n_ring);
-  LweSample extracted;
-  for (size_t s = 0; s < xs.size(); ++s) {
-    const LweSample& x = xs[s];
-    const int barb = mod_switch_to_2n(x.b, n_ring);
-    multiply_by_xpower(ws.testv_rot, testv, 2 * n_ring - barb);
-    acc.a.clear();
-    acc.b = ws.testv_rot;
-    for (int g = 0; g < key.num_groups(); ++g) {
-      group_subset_exponents(x.a.data() + g * key.unroll_m, key.members(g),
-                             n_ring, ws.exponents);
-      if (!build_bundle(eng, key.gadget, groups[static_cast<size_t>(g)],
-                        ws.exponents, ws.bundle)) {
-        continue;
-      }
-      external_product(eng, key.gadget, ws.bundle, acc, ws.ep);
-    }
-    sample_extract_into(acc, extracted);
-    key_switch_into(ks, extracted, outs[s]);
-  }
-}
-
 } // namespace
 
 int main() {
@@ -331,13 +296,6 @@ int main() {
     for (const SimdLevel level : tiers) {
       SimdFftEngine teng(params.ring.n_ring, level);
       const auto bk = load_bootstrap_key(teng, cloud.bk);
-      std::vector<std::vector<TGswSpectral<SimdFftEngine>>> seq_groups;
-      for (const auto& group : cloud.bk.groups) {
-        seq_groups.emplace_back();
-        for (const TGswSample& raw : group) {
-          seq_groups.back().push_back(tgsw_to_spectral(teng, raw));
-        }
-      }
       BootstrapWorkspace<SimdFftEngine> ws(teng, params.gadget);
       KeySwitchWorkspace ks_ws;
       Rng srng(0xB007);
@@ -354,7 +312,7 @@ int main() {
         j.field("mode", mode);
         j.field("batch", batch);
         j.field("us_per_sample", us);
-        j.field("speedup_vs_seq_pr6", baseline_us / us);
+        j.field("speedup_vs_batch1", baseline_us / us);
         j.end_object();
       };
 
@@ -370,15 +328,8 @@ int main() {
         double best_us = 0.0;
       };
       std::vector<Mode> modes;
-      modes.push_back({"seq_pr6", 1,
-                       [&] {
-                         bootstrap_materialized_seq(teng, cloud.bk, seq_groups,
-                                                    cloud.ks, params.mu(), xs,
-                                                    outs, ws);
-                       },
-                       0.0});
       // Group-major batches (each flush streams the BSK once per batch);
-      // batch1 is the sequential path.
+      // batch1 is the sequential path and the speedup baseline.
       std::vector<std::vector<const LweSample*>> in_ptrs;
       std::vector<std::vector<LweSample*>> out_ptrs;
       const std::vector<int> batches{1, 2, 4, 8, 16, 32};

@@ -1,11 +1,12 @@
 // Micro-kernel latencies of the spectral bottom layer, scalar vs SIMD:
-// forward/inverse negacyclic FFT, pointwise MAC, bundle rotation, external
-// product, and a whole software gate bootstrap, with the double-precision
-// reference engine alongside. On an AVX-512 host the avx2 tier's kernel rows
-// are timed too. Every row is the median of kTrials timed repetitions and
-// carries its quartiles. Emits BENCH_micro_kernels.json (JsonWriter) so
-// scripts/bench_trend.py can gate software-bootstrap-latency regressions
-// commit over commit; it reads the median as `ns_op` / `ns_per_sample`.
+// forward/inverse negacyclic FFT, bundle rotation, the fused bundle step,
+// and a whole software gate bootstrap, with the double-precision reference
+// engine's FFT, pointwise MAC, rotation and external product alongside. On
+// an AVX-512 host the avx2 tier's kernel rows are timed too. Every row is
+// the median of kTrials timed repetitions and carries its quartiles. Emits
+// BENCH_micro_kernels.json (JsonWriter) so scripts/bench_trend.py can gate
+// software-bootstrap-latency regressions commit over commit; it reads the
+// median as `ns_op` / `ns_per_sample`.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -82,17 +83,40 @@ IntPolynomial random_digit_poly(Rng& rng, int n) {
   return p;
 }
 
-/// FFT/MAC/rot/EP rows for one engine. `Engine` only needs the common engine
-/// concept; `path` labels the row ("scalar", "avx2", "reference_double", ...).
-template <class Engine>
-void kernel_rows(Engine& eng, const char* path, std::vector<Row>& out) {
+/// FFT and bundle-rotation rows for one SIMD tier: the engine's two timed
+/// transforms and the vtable's rot_scale_add, the kernels the fused bundle
+/// step runs.
+void simd_kernel_rows(SimdFftEngine& eng, const char* path,
+                      std::vector<Row>& out) {
+  Rng rng(17);
+  const TorusPolynomial tp = random_torus_poly(rng, kRingN);
+  const int32_t* in = reinterpret_cast<const int32_t*>(tp.coeffs.data());
+  SpectralP s(eng.spectral_size()), dst(eng.spectral_size());
+  TorusPolynomial back(kRingN);
+
+  out.push_back({"fft_fwd", path, time_ns_per_op([&] {
+                   eng.forward_raw(in, s.re.data(), s.im.data());
+                 }, 400)});
+  out.push_back({"fft_inv", path, time_ns_per_op([&] {
+                   eng.inverse_raw(s.re.data(), s.im.data(), back.coeffs.data());
+                 }, 400)});
+  const SpectralKernels& k = eng.kernels();
+  out.push_back({"rot_scale_add", path, time_ns_per_op([&] {
+                   k.rot_scale_add(eng.plan(), dst.re.data(), dst.im.data(),
+                                   s.re.data(), s.im.data(), 1234);
+                 }, 2000)});
+}
+
+/// FFT/MAC/rot/EP rows of the double-precision reference engine, through
+/// the engine-generic API and its materialized external product.
+void reference_rows(DoubleFftEngine& eng, std::vector<Row>& out) {
+  const char* path = "reference_double";
   Rng rng(17);
   const TfheParams params = TfheParams::security110();
   const TorusPolynomial tp = random_torus_poly(rng, kRingN);
   const IntPolynomial ip = random_digit_poly(rng, kRingN);
 
-  typename Engine::Spectral sa, sb;
-  typename Engine::SpectralAcc acc;
+  SpectralD sa, sb, acc;
   eng.to_spectral_int(ip, sa);
   eng.to_spectral_torus(tp, sb);
   eng.acc_init(acc);
@@ -105,7 +129,7 @@ void kernel_rows(Engine& eng, const char* path, std::vector<Row>& out) {
                  time_ns_per_op([&] { eng.from_spectral_acc(acc, back); }, 400)});
   out.push_back(
       {"mac", path, time_ns_per_op([&] { eng.mac(acc, sa, sb); }, 2000)});
-  typename Engine::Spectral dst(eng.spectral_size());
+  SpectralD dst(eng.spectral_size());
   out.push_back({"rot_scale_add", path, time_ns_per_op([&] {
                    eng.rot_scale_add(dst, sb, 1234);
                  }, 2000)});
@@ -115,15 +139,13 @@ void kernel_rows(Engine& eng, const char* path, std::vector<Row>& out) {
     Rng krng(23);
     return SecretKeyset::generate(params, krng);
   }();
-  DoubleFftEngine enc_eng(kRingN);
   SpectralD key_spec;
-  enc_eng.to_spectral_int(sk.tlwe.s, key_spec);
+  eng.to_spectral_int(sk.tlwe.s, key_spec);
   Rng erng(29);
-  const TGswSample raw = tgsw_encrypt(enc_eng, sk.tlwe, key_spec,
-                                      params.gadget, 1, params.ring.sigma,
-                                      erng);
+  const TGswSample raw = tgsw_encrypt(eng, sk.tlwe, key_spec, params.gadget,
+                                      1, params.ring.sigma, erng);
   auto tgsw = tgsw_to_spectral(eng, raw);
-  ExternalProductWorkspace<Engine> ws(eng, params.gadget);
+  ExternalProductWorkspace<DoubleFftEngine> ws(eng, params.gadget);
   TLweSample ep_acc(kRingN);
   for (auto& c : ep_acc.a.coeffs) c = erng.uniform_torus();
   for (auto& c : ep_acc.b.coeffs) c = erng.uniform_torus();
@@ -133,10 +155,9 @@ void kernel_rows(Engine& eng, const char* path, std::vector<Row>& out) {
 }
 
 /// One whole bundle-mode blind-rotate group step at the paper parameters
-/// (N=1024, Bg=1024, l=3, m=2: three subset members, all active), fused
-/// rotate-MAC vs the materialized bundle it replaced. Steady-state
-/// (st.pristine = false) so neither row gets the first-group skips; the
-/// delta is purely eliding the 2l x 2 bundle materialization.
+/// (N=1024, Bg=1024, l=3, m=2: three subset members, all active) on the
+/// fused rotate-MAC path. Steady-state (st.pristine = false), so the row
+/// gets none of the first-group skips.
 void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out) {
   const TfheParams params = TfheParams::security110();
   SecretKeyset sk = [&] {
@@ -160,10 +181,6 @@ void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out) {
                                            params.ring.sigma, erng));
   }
   const auto bk = load_bootstrap_key(eng, cloud);
-  std::vector<TGswSpectral<SimdFftEngine>> group; // the materialized row's key
-  for (const TGswSample& raw : cloud.groups[0]) {
-    group.push_back(tgsw_to_spectral(eng, raw));
-  }
 
   BootstrapWorkspace<SimdFftEngine> ws(eng, params.gadget);
   const std::vector<int32_t> exponents{37, 911, 948}; // every subset active
@@ -171,11 +188,6 @@ void bundle_rows(SimdFftEngine& eng, const char* path, std::vector<Row>& out) {
   for (auto& c : acc.a.coeffs) c = erng.uniform_torus();
   for (auto& c : acc.b.coeffs) c = erng.uniform_torus();
 
-  out.push_back({"bundle_ep_materialized", path, time_ns_per_op([&] {
-                   (void)build_bundle(eng, bk.gadget, group, exponents,
-                                      ws.bundle);
-                   external_product(eng, bk.gadget, ws.bundle, acc, ws.ep);
-                 }, 200)});
   BlindRotateState st;
   st.pristine = false;
   out.push_back({"bundle_ep_fused", path, time_ns_per_op([&] {
@@ -332,23 +344,23 @@ int main() {
   std::vector<Row> rows;
   {
     SimdFftEngine scalar_eng(kRingN, SimdLevel::kScalar);
-    kernel_rows(scalar_eng, "scalar", rows);
+    simd_kernel_rows(scalar_eng, "scalar", rows);
     bundle_rows(scalar_eng, "scalar", rows);
   }
   if (std::string(active_name) != "scalar") {
     SimdFftEngine simd_eng(kRingN, active);
-    kernel_rows(simd_eng, simd_eng.level_name(), rows);
+    simd_kernel_rows(simd_eng, simd_eng.level_name(), rows);
     bundle_rows(simd_eng, simd_eng.level_name(), rows);
   }
   if (std::string(active_name) == "avx512" &&
       simd_level_available(SimdLevel::kAvx2)) {
     // An AVX-512 host runs the avx2 tier too, so CI measures both.
     SimdFftEngine avx2_eng(kRingN, SimdLevel::kAvx2);
-    kernel_rows(avx2_eng, avx2_eng.level_name(), rows);
+    simd_kernel_rows(avx2_eng, avx2_eng.level_name(), rows);
   }
   {
     DoubleFftEngine ref_eng(kRingN);
-    kernel_rows(ref_eng, "reference_double", rows);
+    reference_rows(ref_eng, rows);
   }
 
   std::printf("%d trials per row: median ns/op [q1, q3]\n", kTrials);

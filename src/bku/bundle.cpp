@@ -146,8 +146,8 @@ void bundle_rotate_step(const SimdFftEngine& eng,
   // Gadget identity H: row j of column a (resp. l+j of column b) carries the
   // real constant Bg^{-(j+1)}, whose spectrum is flat -- its MAC against the
   // digit spectrum is a real scale-accumulate, no bundle row needed. Same
-  // int32 lift as SimdFftEngine::add_constant, so the fused and materialized
-  // paths agree on the constant's value.
+  // int32 lift as the reference engines' add_constant, so the fused and
+  // materialized paths agree on the constant's value.
   for (int j = 0; j < l; ++j) {
     const Torus32 gj = 1u << (32 - (j + 1) * gd.bg_bits);
     const double gjd = static_cast<double>(static_cast<int32_t>(gj));

@@ -311,7 +311,7 @@ class BatchExecutor {
       const auto deadline = deadline_.count() > 0
                                 ? t0 + deadline_
                                 : ThreadPool::kNoDeadline;
-      run_stats = pool_.run_tasks(seeds, total_tasks, task, 1 << 30, deadline);
+      run_stats = pool_.run_tasks(seeds, total_tasks, task, deadline);
     }
 
     // Merge per-worker counters now that all workers are quiescent. The

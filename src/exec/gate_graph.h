@@ -27,10 +27,6 @@
 #include "tfhe/gate_kind.h"
 #include "tfhe/lut.h"
 
-namespace matcha {
-struct TfheParams; // tfhe/params.h; optional noise-budget source for compile
-} // namespace matcha
-
 namespace matcha::exec {
 
 /// Handle to one ciphertext value in a GateGraph (the node that produces it).
@@ -93,12 +89,6 @@ struct OptimizeOptions {
   /// one blind rotation, several sample extractions (e.g. a full adder's
   /// sum + carry become a single bootstrap).
   bool pack_multi_output = true;
-  /// When set, LUT noise budgets come from noise::lut_weight_budget over
-  /// these parameters instead of the built-in defaults (which match both
-  /// shipped parameter sets), and solved cones are asserted against the
-  /// decode-margin failure bound.
-  const TfheParams* noise_params = nullptr;
-  int unroll_m = 2; ///< bootstrap unroll factor assumed by the noise budget
 
   /// The bit-preserving subset, CSE and DCE only: results identical to the
   /// unoptimized graph.

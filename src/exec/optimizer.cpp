@@ -32,7 +32,6 @@
 // grid-3 gate table just relabels its output amplitude).
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -42,8 +41,6 @@
 #include <vector>
 
 #include "exec/gate_graph.h"
-#include "noise/model.h"
-#include "tfhe/params.h"
 
 namespace matcha::exec {
 namespace {
@@ -76,55 +73,6 @@ bool node_eval(const GateNode& n, const std::array<bool, 4>& v) {
     return lut_eval(n.lut.table, idx);
   }
   return eval_plain(n.kind, v[0], v[1], v[2]);
-}
-
-// ---------------------------------------------------------------------------
-// Noise budgets. Defaults match both shipped parameter sets; with explicit
-// parameters the caps come from the analytic model, and every solved spec is
-// re-checked against the reference decode-failure bound (debug builds).
-// ---------------------------------------------------------------------------
-
-struct SolveBudgets {
-  int b3 = kLutMaxWeightNorm;
-  int b4 = kLutGrid4WeightNorm;
-};
-
-SolveBudgets make_budgets(const OptimizeOptions& opts) {
-  SolveBudgets b;
-  if (!opts.noise_params) return b;
-  b.b3 = noise::lut_weight_budget(*opts.noise_params, opts.unroll_m, 3);
-  b.b4 = noise::lut_weight_budget(*opts.noise_params, opts.unroll_m, 4);
-  assert(b.b3 >= 8 && "parameter set cannot decode even the stock XOR combo");
-  return b;
-}
-
-/// Decode-failure check of one solved cone: its weighted combo noise, read
-/// against its grid's margin, must not fail more often than the classic gate
-/// bound that lut_weight_budget derives the caps from.
-void assert_cone_noise(const LutSpec& spec, const std::array<int16_t, 4>& in_var,
-                       const OptimizeOptions& opts) {
-#ifndef NDEBUG
-  if (!opts.noise_params) return;
-  double var = 0;
-  for (int i = 0; i < spec.k; ++i) {
-    var += static_cast<double>(spec.w[static_cast<size_t>(i)]) *
-           spec.w[static_cast<size_t>(i)] * in_var[static_cast<size_t>(i)];
-  }
-  const double sigma =
-      noise::predict(*opts.noise_params, opts.unroll_m).total_std;
-  const double margin =
-      1.0 / static_cast<double>(int64_t{1} << (spec.grid_log + 1));
-  const double fail = noise::failure_probability(std::sqrt(var) * sigma, margin);
-  const double fail_ref =
-      std::max(noise::failure_probability(std::sqrt(12.0) * sigma, 1.0 / 16.0),
-               std::pow(2.0, -20.0));
-  assert(fail <= fail_ref * (1.0 + 1e-9) &&
-         "solved LUT cone exceeds the decode-failure budget");
-#else
-  (void)spec;
-  (void)in_var;
-  (void)opts;
-#endif
 }
 
 /// Per-wire noise-variance multiplicity in bootstrap-output units: inputs
@@ -161,8 +109,7 @@ int16_t clamp_var(int v) {
 /// test-vector rescale; amp-1/16 operands were only ever granted to tables
 /// the finer grid realizes (tfhe/lut.h).
 LutSpec convert_binary_spec(GateKind kind, int8_t a0, int8_t a1, int8_t out_amp,
-                            int var0, int var1, const SolveBudgets& budgets,
-                            const OptimizeOptions& opts) {
+                            int var0, int var1) {
   LutConeProblem prob;
   prob.k = 2;
   uint16_t t = 0;
@@ -177,13 +124,10 @@ LutSpec convert_binary_spec(GateKind kind, int8_t a0, int8_t a1, int8_t out_amp,
   prob.in_var[0] = clamp_var(var0);
   prob.in_var[1] = clamp_var(var1);
   prob.out_amp_log[0] = out_amp;
-  prob.budget_grid3 = budgets.b3;
-  prob.budget_grid4 = budgets.b4;
   const std::optional<LutSpec> spec = solve_lut_cone(prob);
   if (!spec) {
     throw std::logic_error("re-encoded binary gate has no LUT embedding");
   }
-  assert_cone_noise(*spec, prob.in_var, opts);
   return *spec;
 }
 
@@ -474,13 +418,10 @@ using Lits = std::vector<std::pair<int, bool>>; ///< (select wire, polarity)
 /// AND(minterm2, minterm2) -- depth 2 for 4 selects, the depth win the
 /// rewrite exists for.
 bool plan_minterm(const Lits& lits, const std::vector<int>& vars,
-                  std::map<Lits, LutSpec>& reg, int& fresh,
-                  const SolveBudgets& budgets, const OptimizeOptions& opts) {
+                  std::map<Lits, LutSpec>& reg, int& fresh) {
   if (reg.count(lits)) return true;
   LutConeProblem prob;
   prob.k = 2;
-  prob.budget_grid3 = budgets.b3;
-  prob.budget_grid4 = budgets.b4;
   prob.out_amp_log[0] = 4;
   if (lits.size() == 2) {
     uint16_t t = 0;
@@ -496,8 +437,8 @@ bool plan_minterm(const Lits& lits, const std::vector<int>& vars,
     prob.in_var[0] = clamp_var(vars[static_cast<size_t>(lits[0].first)]);
     prob.in_var[1] = clamp_var(vars[static_cast<size_t>(lits[1].first)]);
   } else if (lits.size() == 3) {
-    if (!plan_minterm(Lits(lits.begin(), lits.begin() + 2), vars, reg, fresh,
-                      budgets, opts)) {
+    if (!plan_minterm(Lits(lits.begin(), lits.begin() + 2), vars, reg,
+                      fresh)) {
       return false;
     }
     uint16_t t = 0;
@@ -512,10 +453,10 @@ bool plan_minterm(const Lits& lits, const std::vector<int>& vars,
     prob.in_var[1] = clamp_var(vars[static_cast<size_t>(lits[2].first)]);
   } else {
     assert(lits.size() == 4);
-    if (!plan_minterm(Lits(lits.begin(), lits.begin() + 2), vars, reg, fresh,
-                      budgets, opts) ||
-        !plan_minterm(Lits(lits.begin() + 2, lits.end()), vars, reg, fresh,
-                      budgets, opts)) {
+    if (!plan_minterm(Lits(lits.begin(), lits.begin() + 2), vars, reg,
+                      fresh) ||
+        !plan_minterm(Lits(lits.begin() + 2, lits.end()), vars, reg,
+                      fresh)) {
       return false;
     }
     prob.tables[0] = 0b1000; // AND of the two half-minterms
@@ -524,16 +465,13 @@ bool plan_minterm(const Lits& lits, const std::vector<int>& vars,
   }
   const std::optional<LutSpec> spec = solve_lut_cone(prob);
   if (!spec) return false;
-  assert_cone_noise(*spec, prob.in_var, opts);
   reg.emplace(lits, *spec);
   ++fresh;
   return true;
 }
 
 void flatten_mux_trees(const GateGraph& g, GateGraph& out,
-                       std::vector<int>& map, OptimizeStats& stats,
-                       const SolveBudgets& budgets,
-                       const OptimizeOptions& opts) {
+                       std::vector<int>& map, OptimizeStats& stats) {
   const auto& nodes = g.nodes();
   const int n = g.num_nodes();
   const auto cons = g.dataflow_info().consumers;
@@ -627,8 +565,6 @@ void flatten_mux_trees(const GateGraph& g, GateGraph& out,
         const Lits& path = rp.paths[pi];
         LutConeProblem prob;
         prob.k = 2;
-        prob.budget_grid3 = budgets.b3;
-        prob.budget_grid4 = budgets.b4;
         prob.out_amp_log[0] = 3;
         if (path.size() == 1) {
           uint16_t t = 0;
@@ -642,7 +578,7 @@ void flatten_mux_trees(const GateGraph& g, GateGraph& out,
           prob.in_amp_log[1] = 3;
           prob.in_var[0] = clamp_var(vars[static_cast<size_t>(path[0].first)]);
         } else {
-          if (!plan_minterm(path, vars, reg, fresh, budgets, opts)) {
+          if (!plan_minterm(path, vars, reg, fresh)) {
             ok = false;
             break;
           }
@@ -657,7 +593,6 @@ void flatten_mux_trees(const GateGraph& g, GateGraph& out,
           ok = false;
           break;
         }
-        assert_cone_noise(*spec, prob.in_var, opts);
         tspecs[gi].push_back(*spec);
         ++terms;
       }
@@ -800,16 +735,12 @@ std::optional<LutSpec> realize_cone(const GateGraph& g, int root,
                                     const std::vector<int>& members,
                                     const std::vector<int8_t>& req,
                                     const std::vector<int>& vars,
-                                    const std::vector<char>& flex,
-                                    const SolveBudgets& budgets,
-                                    const OptimizeOptions& opts) {
+                                    const std::vector<char>& flex) {
   if (cut.empty() || cut.size() > static_cast<size_t>(kLutMaxFanIn)) {
     return std::nullopt;
   }
   LutConeProblem prob;
   prob.k = static_cast<int>(cut.size());
-  prob.budget_grid3 = budgets.b3;
-  prob.budget_grid4 = budgets.b4;
   uint16_t table = 0;
   uint32_t dc = 0;
   for (unsigned b = 0; b < (1u << cut.size()); ++b) {
@@ -858,14 +789,11 @@ std::optional<LutSpec> realize_cone(const GateGraph& g, int root,
       prob.in_reencodable[i] = flex[static_cast<size_t>(w)] != 0;
     }
   }
-  const std::optional<LutSpec> spec = solve_lut_cone(prob);
-  if (spec) assert_cone_noise(*spec, prob.in_var, opts);
-  return spec;
+  return solve_lut_cone(prob);
 }
 
 void fuse_cones(const GateGraph& g, GateGraph& out, std::vector<int>& map,
-                OptimizeStats& stats, bool dce_follows,
-                const SolveBudgets& budgets, const OptimizeOptions& opts) {
+                OptimizeStats& stats, bool dce_follows) {
   const auto& nodes = g.nodes();
   const int n = static_cast<int>(nodes.size());
   // Gate-consumer adjacency, shared with the dataflow executor. Only gate
@@ -1000,8 +928,8 @@ void fuse_cones(const GateGraph& g, GateGraph& out, std::vector<int>& map,
       Walk snap;
       const auto try_snapshot = [&]() {
         refresh_flex(cut);
-        std::optional<LutSpec> s = realize_cone(g, r, cut, members, req, vars,
-                                                flex_cache, budgets, opts);
+        std::optional<LutSpec> s =
+            realize_cone(g, r, cut, members, req, vars, flex_cache);
         if (s) {
           snap.members = members;
           snap.cut = cut;
@@ -1061,8 +989,7 @@ void fuse_cones(const GateGraph& g, GateGraph& out, std::vector<int>& map,
             members.push_back(cd.id);
             refresh_flex(cd.ncut);
             const bool realizable =
-                realize_cone(g, r, cd.ncut, members, req, vars, flex_cache,
-                             budgets, opts)
+                realize_cone(g, r, cd.ncut, members, req, vars, flex_cache)
                     .has_value();
             members.pop_back();
             if (realizable) {
@@ -1213,7 +1140,7 @@ void fuse_cones(const GateGraph& g, GateGraph& out, std::vector<int>& map,
       const LutSpec s = convert_binary_spec(
           nd.kind, amp_of(nd.in[0]), amp_of(nd.in[1]), amp_of(i),
           vars[static_cast<size_t>(nd.in[0])],
-          vars[static_cast<size_t>(nd.in[1])], budgets, opts);
+          vars[static_cast<size_t>(nd.in[1])]);
       const std::array<Wire, 2> ins{Wire{map[static_cast<size_t>(nd.in[0])]},
                                     Wire{map[static_cast<size_t>(nd.in[1])]}};
       map[static_cast<size_t>(i)] = out.add_lut(ins, s).id;
@@ -1247,9 +1174,7 @@ void fuse_cones(const GateGraph& g, GateGraph& out, std::vector<int>& map,
 // ---------------------------------------------------------------------------
 
 void pack_multi_output(const GateGraph& g, GateGraph& out,
-                       std::vector<int>& map, OptimizeStats& stats,
-                       const SolveBudgets& budgets,
-                       const OptimizeOptions& opts) {
+                       std::vector<int>& map, OptimizeStats& stats) {
   const auto& nodes = g.nodes();
   const int n = g.num_nodes();
   const auto cons = g.dataflow_info().consumers;
@@ -1309,8 +1234,6 @@ void pack_multi_output(const GateGraph& g, GateGraph& out,
     LutConeProblem prob;
     prob.k = k;
     prob.n_out = static_cast<int>(subset.size());
-    prob.budget_grid3 = budgets.b3;
-    prob.budget_grid4 = budgets.b4;
     // Operand permutations onto the sorted order, then tables + dc.
     std::array<int8_t, 4> member_amp{0, 0, 0, 0}; // per canonical position
     for (size_t mi = 0; mi < subset.size(); ++mi) {
@@ -1379,7 +1302,6 @@ void pack_multi_output(const GateGraph& g, GateGraph& out,
     }
     const std::optional<LutSpec> spec = solve_lut_cone(prob);
     if (!spec) return std::nullopt;
-    assert_cone_noise(*spec, prob.in_var, opts);
     return Pack{*spec, key, subset};
   };
 
@@ -1482,7 +1404,7 @@ void pack_multi_output(const GateGraph& g, GateGraph& out,
       const LutSpec s = convert_binary_spec(
           nd.kind, amp_of(nd.in[0]), amp_of(nd.in[1]), amp_of(i),
           vars[static_cast<size_t>(nd.in[0])],
-          vars[static_cast<size_t>(nd.in[1])], budgets, opts);
+          vars[static_cast<size_t>(nd.in[1])]);
       const std::array<Wire, 2> ins{Wire{map[static_cast<size_t>(nd.in[0])]},
                                     Wire{map[static_cast<size_t>(nd.in[1])]}};
       map[static_cast<size_t>(i)] = out.add_lut(ins, s).id;
@@ -1545,7 +1467,6 @@ void compose(std::vector<int>& total, const std::vector<int>& next) {
 CompiledGraph CompiledGraph::compile(const GateGraph& g,
                                      const OptimizeOptions& opts) {
   CompiledGraph c;
-  const SolveBudgets budgets = make_budgets(opts);
   GateGraph buf[2];
   std::vector<int> total;
   c.stats = fold_and_cse(g, opts, buf[0], total);
@@ -1568,18 +1489,17 @@ CompiledGraph CompiledGraph::compile(const GateGraph& g,
   }
   if (opts.flatten_mux_trees) {
     advance([&](const GateGraph& in, GateGraph& o, std::vector<int>& m) {
-      flatten_mux_trees(in, o, m, c.stats, budgets, opts);
+      flatten_mux_trees(in, o, m, c.stats);
     });
   }
   if (opts.fuse_lut_cones) {
     advance([&](const GateGraph& in, GateGraph& o, std::vector<int>& m) {
-      fuse_cones(in, o, m, c.stats, /*dce_follows=*/!in.outputs().empty(),
-                 budgets, opts);
+      fuse_cones(in, o, m, c.stats, /*dce_follows=*/!in.outputs().empty());
     });
   }
   if (opts.pack_multi_output) {
     advance([&](const GateGraph& in, GateGraph& o, std::vector<int>& m) {
-      pack_multi_output(in, o, m, c.stats, budgets, opts);
+      pack_multi_output(in, o, m, c.stats);
     });
   }
   if (!cur->outputs().empty()) {

@@ -149,14 +149,14 @@ void ThreadPool::TaskSink::push(uint64_t task) {
 
 ThreadPool::TaskRunStats ThreadPool::run_tasks(
     std::span<const uint64_t> seeds, int64_t total_tasks, const TaskFn& fn,
-    int max_workers, std::chrono::steady_clock::time_point deadline) {
+    std::chrono::steady_clock::time_point deadline) {
   TaskRunStats stats;
   if (total_tasks <= 0) {
     stats.workers = 0; // nothing dispatched, nobody participated
     return stats;
   }
-  const int participants = static_cast<int>(std::min<int64_t>(
-      std::min(num_threads_, std::max(1, max_workers)), total_tasks));
+  const int participants =
+      static_cast<int>(std::min<int64_t>(num_threads_, total_tasks));
   stats.workers = participants;
 
   TaskSink::State state(participants);
@@ -170,12 +170,7 @@ ThreadPool::TaskRunStats ThreadPool::run_tasks(
     TaskSink sink(state, slot);
     auto& own = state.deques[static_cast<size_t>(slot)];
     // Pop own deque newest-first (operand locality). When dry, steal
-    // oldest-first in two passes: first from victims inside this slot's
-    // kStealComplex group (fixed slot ownership maps adjacent slots to
-    // adjacent OS threads, so a same-group steal keeps the stolen task's
-    // operand ciphertexts inside one core complex's shared cache), then from
-    // the rest of the crew.
-    const int my_cx = slot / kStealComplex;
+    // oldest-first from the next slot up, wrapping around the crew.
     const auto try_get = [&](uint64_t& task, bool& stolen) {
       {
         std::lock_guard<std::mutex> lk(own.mu);
@@ -186,18 +181,15 @@ ThreadPool::TaskRunStats ThreadPool::run_tasks(
           return true;
         }
       }
-      for (int pass = 0; pass < 2; ++pass) {
-        for (int v = 1; v < participants; ++v) {
-          const int vict = (slot + v) % participants;
-          if ((vict / kStealComplex == my_cx) != (pass == 0)) continue;
-          auto& victim = state.deques[static_cast<size_t>(vict)];
-          std::lock_guard<std::mutex> lk(victim.mu);
-          if (!victim.q.empty()) {
-            task = victim.q.front();
-            victim.q.pop_front();
-            stolen = true;
-            return true;
-          }
+      for (int v = 1; v < participants; ++v) {
+        auto& victim =
+            state.deques[static_cast<size_t>((slot + v) % participants)];
+        std::lock_guard<std::mutex> lk(victim.mu);
+        if (!victim.q.empty()) {
+          task = victim.q.front();
+          victim.q.pop_front();
+          stolen = true;
+          return true;
         }
       }
       return false;

@@ -81,13 +81,10 @@ class ThreadPool {
   /// `total_tasks` have executed (seeds plus everything pushed through the
   /// sink -- the caller's readiness refcounts must guarantee that count is
   /// reached). Workers pop their own deque newest-first; when dry they steal
-  /// oldest-first, preferring victims inside their own kStealComplex-slot
-  /// group (adjacent slots map to adjacent OS threads, so a same-group steal
-  /// keeps operand traffic inside one core complex's shared cache) before
-  /// scanning the rest of the crew. An idle worker sleeps until new work
-  /// is pushed or the run drains. Participation is capped at
-  /// min(num_threads, max_workers, total_tasks). The first exception thrown
-  /// by a task aborts the run (remaining queued tasks are dropped) and is
+  /// oldest-first, scanning the crew from the next slot up. An idle worker
+  /// sleeps until new work is pushed or the run drains. Participation is
+  /// capped at min(num_threads, total_tasks). The first exception thrown by
+  /// a task aborts the run (remaining queued tasks are dropped) and is
   /// rethrown on the caller.
   ///
   /// Watchdog: with a `deadline`, the run is abandoned cooperatively once
@@ -98,14 +95,9 @@ class ThreadPool {
   /// every *scheduling* wait, which is the hang mode a lost wakeup or a
   /// dependency cycle in the caller's refcounts would produce.
   TaskRunStats run_tasks(std::span<const uint64_t> seeds, int64_t total_tasks,
-                         const TaskFn& fn, int max_workers = 1 << 30,
+                         const TaskFn& fn,
                          std::chrono::steady_clock::time_point deadline =
                              kNoDeadline);
-
-  /// Steal-locality group width (slots per core complex). Matches the common
-  /// 4-core CCX/cluster granularity; a wrong guess only reorders steal
-  /// preference, it never affects correctness.
-  static constexpr int kStealComplex = 4;
 
  private:
   void helper_loop(int slot);

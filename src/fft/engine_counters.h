@@ -4,8 +4,8 @@
 // Counter scope contract (what keeps bench/fig1_breakdown's percentages
 // summing sanely): the _ns timers cover DISJOINT, NON-NESTED scopes. Each
 // public to_spectral/from_spectral entry point -- including the SIMD
-// engine's fused external-product path, which times each of its 2l forward
-// and 2 inverse transforms exactly once via forward_raw/inverse_raw -- opens
+// engine's fused bundle step, which times each of its 2l forward and 2
+// inverse transforms exactly once via forward_raw/inverse_raw -- opens
 // one timer for its whole kernel, and no helper it calls opens another.
 // Work outside the transforms (gadget decomposition, spectral MAC, bundle
 // rotations) is deliberately uncounted: GateEvaluator derives its "other"

@@ -42,6 +42,17 @@
 // -mavx512f -mavx512dq (spectral_kernels_avx512.cpp); including this header
 // elsewhere is harmless. GCC's -mavx512f defines __AVX2__ but not __FMA__,
 // so the intrinsics header is included for either x86 block on its own.
+//
+// Linkage: each kernel TU compiles these policies (and the
+// spectral_kernels_impl.h templates) under its own ISA flags, so they live
+// in an inline namespace named after the TU's flag set (MATCHA_SIMD_ISA)
+// and no two kernel objects define the same symbol. Without it, a member
+// that is not inlined -- every one in an unoptimized build, the
+// simd::Scalar tail butterflies in a release build -- is a weak symbol in
+// several kernel objects, and the linker keeps one TU's copy for every tier
+// (CI's sanitize leg checks that no kernel symbol is shared). An unnamed
+// namespace would do the same, but internal linkage lets GCC inline every
+// once-called helper and so changes the kernels' code.
 #pragma once
 
 #include <cmath>
@@ -52,7 +63,16 @@
 #include <immintrin.h>
 #endif
 
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#define MATCHA_SIMD_ISA isa_avx512
+#elif defined(__AVX2__) && defined(__FMA__)
+#define MATCHA_SIMD_ISA isa_avx2
+#else
+#define MATCHA_SIMD_ISA isa_base
+#endif
+
 namespace matcha::simd {
+inline namespace MATCHA_SIMD_ISA {
 
 // ------------------------------------------------------------------ scalar
 struct Scalar {
@@ -482,4 +502,5 @@ struct Avx512 {
 };
 #endif // __AVX512F__ && __AVX512DQ__
 
+} // namespace MATCHA_SIMD_ISA
 } // namespace matcha::simd

@@ -1,11 +1,14 @@
 // SIMD-vectorized split-format spectral engine -- the fast software path.
 //
-// Drop-in engine (same concept as DoubleFftEngine/LiftFftEngine: Spectral
-// typedefs + to/from_spectral + mac/rot_scale_add/add_constant) built for
-// speed on commodity CPUs:
+// The engine of the fused bundle step (bku/bundle.h), built for speed on
+// commodity CPUs. Unlike DoubleFftEngine/LiftFftEngine it does not implement
+// the engine-generic spectral API (to_spectral / mac / from_spectral): the
+// fused bundle_rotate_step is its only external product and calls the
+// vtable's kernels directly, so the engine holds just the plan, the kernel
+// set, the counters and the two timed transforms:
 //
-//   * planar SpectralP operands (aligned re[]/im[] planes, spectral.h) so
-//     every kernel is contiguous full-width vector arithmetic;
+//   * planar operands (aligned re[]/im[] planes, spectral.h) so every kernel
+//     is contiguous full-width vector arithmetic;
 //   * iterative radix-4 negacyclic FFT with the twist fused into the first
 //     forward stage and untwist+scale+round fused into the last inverse
 //     stage; the spectrum stays in digit-reversed storage order, so the
@@ -33,15 +36,14 @@
 #include "fft/engine_counters.h"
 #include "fft/spectral.h"
 #include "fft/spectral_kernels.h"
-#include "math/polynomial.h"
 #include "tfhe/tgsw.h"
 
 namespace matcha {
 
 class SimdFftEngine {
  public:
+  /// The planar spectrum type the key and workspace templates name.
   using Spectral = SpectralP;
-  using SpectralAcc = SpectralP;
 
   explicit SimdFftEngine(int n_ring, SimdLevel level = active_simd_level());
 
@@ -50,30 +52,13 @@ class SimdFftEngine {
   SimdLevel level() const { return level_; }
   const char* level_name() const { return kernels_->name; }
 
-  /// Coefficients -> spectral (the paper's "IFFT"), digit-reversed order.
-  void to_spectral_int(const IntPolynomial& p, Spectral& out) const;
-  void to_spectral_torus(const TorusPolynomial& p, Spectral& out) const;
-
-  /// Spectral -> torus coefficients, wrapped mod 2^32 (the paper's "FFT").
-  void from_spectral_torus(const Spectral& s, TorusPolynomial& out) const;
-
-  /// Accumulator interface used by external products: acc += a (*) b.
-  void acc_init(SpectralAcc& acc) const;
-  void mac(SpectralAcc& acc, const Spectral& a, const Spectral& b) const;
-  void from_spectral_acc(const SpectralAcc& acc, TorusPolynomial& out) const {
-    from_spectral_torus(acc, out);
-  }
-
-  /// Bundle construction primitives (spectral-domain TGSW scale units):
-  /// dst += (X^{-c} - 1) * src, c mod 2N. dst must not alias src.
-  void rot_scale_add(Spectral& dst, const Spectral& src, int64_t c) const;
-  /// dst += g (a constant polynomial has constant spectrum, order-agnostic).
-  void add_constant(Spectral& dst, Torus32 g) const;
-
-  /// Raw planar entry points for the fused external product below. Each call
-  /// is one timed to_spectral / from_spectral kernel invocation (the counter
-  /// scope contract of engine_counters.h).
+  /// Coefficients -> spectral (the paper's "IFFT"): the N int32 coefficients
+  /// at `in` (torus buffers reinterpreted) into the m-slot re/im planes, in
+  /// digit-reversed storage order.
   void forward_raw(const int32_t* in, double* re, double* im) const;
+  /// Spectral -> torus coefficients, wrapped mod 2^32 (the paper's "FFT").
+  /// Each call of either transform is one timed to_spectral / from_spectral
+  /// kernel invocation (the counter scope contract of engine_counters.h).
   void inverse_raw(const double* re, const double* im, Torus32* out) const;
 
   const NegacyclicPlan& plan() const { return plan_; }
@@ -81,8 +66,6 @@ class SimdFftEngine {
   EngineCounters& counters() const { return counters_; }
 
  private:
-  void ensure_sized(Spectral& s) const;
-
   int n_, m_;
   SimdLevel level_;
   const SpectralKernels* kernels_;
@@ -101,10 +84,10 @@ struct ExternalProductWorkspace<SimdFftEngine> {
   AlignedVector<int32_t> digits; ///< 2l planes of n int32 digits
   AlignedVector<double> spec;    ///< 2l planes of re[m] then im[m]
   AlignedVector<double> rotf;    ///< fused-path X^{-c}-1 factor, re[m] im[m]
-  SimdFftEngine::SpectralAcc acc_a, acc_b;
+  SpectralP acc_a, acc_b;
   /// Fused-path per-subset sub-accumulators: u = sum_r digit_r (*) key_row_r
   /// per column, rotated into acc_a/acc_b by one mac2 against rotf.
-  SimdFftEngine::SpectralAcc sub_a, sub_b;
+  SpectralP sub_a, sub_b;
 
   ExternalProductWorkspace(const SimdFftEngine& eng, const GadgetParams& g)
       : l(g.l),
@@ -125,19 +108,5 @@ struct ExternalProductWorkspace<SimdFftEngine> {
   double* spec_re(int r) { return spec.data() + static_cast<size_t>(r) * 2 * m; }
   double* spec_im(int r) { return spec_re(r) + m; }
 };
-
-/// Batched external product for the SIMD engine (preferred over the generic
-/// template by overload resolution): vectorized gadget decomposition into
-/// the contiguous digit arena, all 2l forward FFTs back-to-back through one
-/// workspace, accumulation kept in spectral form, two fused inverse
-/// transforms out. Counter scopes: the FFT work lands in
-/// to_spectral/from_spectral, decompose+MAC in neither (the breakdown's
-/// "other"), with no overlap. `a_is_zero` has the generic template's
-/// contract (tfhe/tgsw.h): acc.a is identically zero, so the l a-digit
-/// transforms and row MACs are elided and counted as zero_fft_skips.
-void external_product(const SimdFftEngine& eng, const GadgetParams& g,
-                      const TGswSpectral<SimdFftEngine>& tgsw, TLweSample& acc,
-                      ExternalProductWorkspace<SimdFftEngine>& ws,
-                      bool a_is_zero = false);
 
 } // namespace matcha

@@ -10,10 +10,10 @@
 //   inverse ("FFT"): the mirrored radix-4 decimation-in-time stages consume
 //     that storage order directly and emit natural-order coefficients, with
 //     the untwist, the 1/m normalization, and the Torus32 rounding fused
-//     into the last stage's stores. The MAC-only external-product path
-//     therefore never permutes data.
+//     into the last stage's stores. The fused bundle step therefore never
+//     permutes data.
 //
-// Pointwise kernels (mac, scale_add, mac2) are order-agnostic. The
+// Pointwise kernels (scale_add, mac2, mac2_rows) are order-agnostic. The
 // index-dependent kernels, rot_scale_add and rot_factor (bundle
 // construction, multiplies by X^{-c} - 1), resolve the storage permutation
 // through the precomputed `ft1` table: slot k holds frequency nat(k), whose
@@ -92,9 +92,6 @@ struct SpectralKernels {
   void (*inverse_torus)(const NegacyclicPlan& plan, const double* sre,
                         const double* sim, double* wre, double* wim,
                         uint32_t* out);
-  /// acc += a * b, pointwise complex over m slots.
-  void (*mac)(int m, const double* ar, const double* ai, const double* br,
-              const double* bi, double* accr, double* acci);
   /// dst += (X^{-c} - 1) * src (c mod 2N); dst must not alias src.
   void (*rot_scale_add)(const NegacyclicPlan& plan, double* dr, double* di,
                         const double* sr, const double* si, int64_t c);

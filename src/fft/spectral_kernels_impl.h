@@ -10,16 +10,20 @@
 // so on every tier none of its butterflies reaches a tail; the tails serve
 // the q = 1 stage of m = 4^t plans (and q = 4 on AVX-512) and N = 16's
 // twist stage.
+//
+// Like the fft/simd.h policies, every template here lives in the TU's
+// MATCHA_SIMD_ISA inline namespace, so each per-ISA TU keeps its own
+// instantiations.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <utility>
 
 #include "fft/simd.h"
 #include "fft/spectral_kernels.h"
 
 namespace matcha::detail {
+inline namespace MATCHA_SIMD_ISA {
 
 /// Radix-4 DIF butterfly (forward, sign +1) at slot `base + j`, twiddles
 /// from `st`. In-place on re/im.
@@ -258,12 +262,17 @@ struct RotTables {
   }
 };
 
+/// A rotation factor's lanes.
+template <class P>
+struct RotFactor {
+  typename P::vd re, im;
+};
+
 /// The rotation factor's (re, im) at slots [k, k + P::W): two table
 /// gathers per slot instead of the reference engine's serial f *= step
 /// recurrence.
 template <class P>
-inline std::pair<typename P::vd, typename P::vd> rot_at(const RotTables& t,
-                                                       int k) {
+inline RotFactor<P> rot_at(const RotTables& t, int k) {
   const auto idx = P::rot_index(t.ft1 + k, t.c, t.mask);
   return {P::sub(P::gather(t.re, idx), P::set1(1.0)), P::gather(t.im, idx)};
 }
@@ -391,24 +400,6 @@ struct PlanarKernels {
     for (; j < last.q; ++j) {
       assert(!leaf);
       dit_last_butterfly<simd::Scalar>(plan, last, cr, ci, out, j);
-    }
-  }
-
-  static void mac(int m, const double* ar, const double* ai, const double* br,
-                  const double* bi, double* accr, double* acci) {
-    using v = typename V::vd;
-    int k = 0;
-    for (; k + V::W <= m; k += V::W) {
-      const v xr = V::load(ar + k), xi = V::load(ai + k);
-      const v yr = V::load(br + k), yi = V::load(bi + k);
-      const v rr = V::fmsub(xr, yr, V::mul(xi, yi));
-      const v ri = V::fmadd(xr, yi, V::mul(xi, yr));
-      V::store(accr + k, V::add(V::load(accr + k), rr));
-      V::store(acci + k, V::add(V::load(acci + k), ri));
-    }
-    for (; k < m; ++k) {
-      accr[k] += ar[k] * br[k] - ai[k] * bi[k];
-      acci[k] += ar[k] * bi[k] + ai[k] * br[k];
     }
   }
 
@@ -707,7 +698,6 @@ constexpr SpectralKernels kernel_table(const char* name) {
       .name = name,
       .forward = &K::forward,
       .inverse_torus = &K::inverse_torus,
-      .mac = &K::mac,
       .rot_scale_add = &K::rot_scale_add,
       .scale_add = &K::scale_add,
       .rot_factor = &K::rot_factor,
@@ -720,4 +710,5 @@ constexpr SpectralKernels kernel_table(const char* name) {
   };
 }
 
+} // namespace MATCHA_SIMD_ISA
 } // namespace matcha::detail

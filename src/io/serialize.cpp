@@ -25,7 +25,6 @@ constexpr uint32_t kVersion = 3;
 constexpr int64_t kMaxLweDim = 1 << 22;
 constexpr int64_t kMaxRingN = 1 << 20;
 constexpr int64_t kRingK = 1; // the library fixes k = 1 (tfhe/params.h)
-constexpr int64_t kMaxGadgetL = 64;
 constexpr int64_t kMaxUnroll = 8;
 constexpr int64_t kMaxTgswRows = 1 << 16;
 constexpr uint64_t kMaxVecElems = 1ULL << 28;
@@ -56,6 +55,15 @@ void check_sigma(double v, const char* what) {
     fail(out_of_range_status(std::string("matcha::io: ") + what +
                              " is not a plausible noise stddev"));
   }
+}
+
+/// A gadget the library can run: l digits of bg_bits each fit the 32-bit
+/// torus (l * bg_bits <= 32), so every digit shift 32 - (j+1) * bg_bits --
+/// in the decompose kernels, rounding_offset and the gadget constants of H
+/// -- is non-negative, and l <= 32 bounds the fused step's digit planes.
+void check_gadget(const GadgetParams& g, const std::string& what) {
+  check_range(g.bg_bits, 1, 31, (what + ".bg_bits").c_str());
+  check_range(g.l, 1, 32 / g.bg_bits, (what + ".l").c_str());
 }
 
 void check_pow2(int64_t v, const char* what) {
@@ -233,8 +241,7 @@ TfheParams read_params_impl(std::istream& is) {
   check_pow2(p.ring.n_ring, "TfheParams.ring.n_ring");
   check_range(p.ring.k, kRingK, kRingK, "TfheParams.ring.k");
   check_sigma(p.ring.sigma, "TfheParams.ring.sigma");
-  check_range(p.gadget.bg_bits, 1, 31, "TfheParams.gadget.bg_bits");
-  check_range(p.gadget.l, 1, kMaxGadgetL, "TfheParams.gadget.l");
+  check_gadget(p.gadget, "TfheParams.gadget");
   check_range(p.ks.basebit, 1, 31, "TfheParams.ks.basebit");
   check_range(p.ks.t, 0, 64, "TfheParams.ks.t");
   check_sigma(p.ks.sigma, "TfheParams.ks.sigma");
@@ -359,8 +366,7 @@ UnrolledBootstrapKey read_bootstrap_key_impl(std::istream& is) {
   check_pow2(k.ring.n_ring, "UnrolledBootstrapKey.n_ring");
   check_range(k.ring.k, kRingK, kRingK, "UnrolledBootstrapKey.ring.k");
   check_sigma(k.ring.sigma, "UnrolledBootstrapKey.ring.sigma");
-  check_range(k.gadget.bg_bits, 1, 31, "UnrolledBootstrapKey.bg_bits");
-  check_range(k.gadget.l, 1, kMaxGadgetL, "UnrolledBootstrapKey.l");
+  check_gadget(k.gadget, "UnrolledBootstrapKey");
   const uint32_t groups = src.get<uint32_t>();
   // ceil(n_lwe / m) groups; equality keeps the blind-rotation loop bounds
   // honest downstream.
@@ -410,6 +416,8 @@ CloudKeyset read_cloud_keyset_impl(std::istream& is) {
   // arrived with, or downstream kernels index out of bounds.
   if (ck.bk.n_lwe != ck.params.lwe.n ||
       ck.bk.ring.n_ring != ck.params.ring.n_ring ||
+      ck.bk.gadget.bg_bits != ck.params.gadget.bg_bits ||
+      ck.bk.gadget.l != ck.params.gadget.l ||
       ck.ks.n_out != ck.params.lwe.n ||
       ck.ks.n_in != ck.params.ring.n_ring) {
     fail(out_of_range_status(

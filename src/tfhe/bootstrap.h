@@ -228,4 +228,13 @@ void classic_bootstrap_wo_keyswitch_into(const Engine& eng,
   sample_extract_into(acc, out);
 }
 
+/// The SIMD engine's classic chain: its key is the bundle arena alone, and
+/// the fused bundle step is its only external product, so it always throws.
+inline void classic_bootstrap_wo_keyswitch_into(
+    const SimdFftEngine&, const DeviceBootstrapKey<SimdFftEngine>&, Torus32,
+    const LweSample&, BootstrapWorkspace<SimdFftEngine>&, LweSample&) {
+  throw std::invalid_argument(
+      "classic CMux bootstrap needs one spectral TGSW per secret bit");
+}
+
 } // namespace matcha

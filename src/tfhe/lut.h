@@ -53,8 +53,8 @@ inline constexpr int kLutMinGridLog = 3;
 inline constexpr int kLutMaxGridLog = 4;
 
 /// Legacy grid-3 noise budget, in units of one bootstrap's output variance:
-/// sum w_i^2 * var_i must stay <= 12 (stock XOR is 8). Used as the default
-/// when no parameter set is supplied; noise::lut_weight_budget reproduces it.
+/// sum w_i^2 * var_i must stay <= 12 (stock XOR is 8). The budget the
+/// optimizer compiles with; noise::lut_weight_budget reproduces it.
 inline constexpr int kLutMaxWeightNorm = 12;
 
 /// Grid-4 default budget (the same failure-rate bound at half the margin).

@@ -173,10 +173,15 @@ TEST(DeviceKey, LoadRejectsAnEngineOfAnotherRing) {
 
 TEST(DeviceKey, SimdKeyIsTheArenaAlone) {
   // The SIMD key holds one device copy: the group-major arena, whose block
-  // for (g, mask) carries the per-TGSW spectra row by row, bit for bit.
+  // for (g, mask) carries the TGSW's rows in order, each row the forward
+  // spectra of its a and b polynomials as [a.re | a.im | b.re | b.im], bit
+  // for bit.
   const auto& K = shared_keys();
   const UnrolledBootstrapKey& cloud = K.ck2.bk;
   const int rows = 2 * K.params.gadget.l;
+  const auto coeffs = [](const TorusPolynomial& p) {
+    return reinterpret_cast<const int32_t*>(p.coeffs.data());
+  };
   for (const SimdLevel level : test::testable_levels()) {
     SimdFftEngine eng(K.params.ring.n_ring, level);
     const size_t m = static_cast<size_t>(eng.spectral_size());
@@ -185,19 +190,19 @@ TEST(DeviceKey, SimdKeyIsTheArenaAlone) {
     EXPECT_EQ(dev.num_groups(), cloud.num_groups());
     ASSERT_EQ(dev.soa.size(),
               static_cast<size_t>(cloud.total_tgsw()) * rows * 4 * m);
-    const auto same = [m](const double* got, const AlignedVector<double>& w) {
-      return std::memcmp(got, w.data(), m * sizeof(double)) == 0;
-    };
+    std::vector<double> want(4 * m);
     int mismatches = 0;
     for (int g = 0; g < cloud.num_groups(); ++g) {
       for (size_t idx = 0; idx < cloud.groups[g].size(); ++idx) {
-        const auto spec = tgsw_to_spectral(eng, cloud.groups[g][idx]);
         const double* row = dev.soa_block(g, idx);
         for (int r = 0; r < rows; ++r, row += 4 * m) {
-          const auto& want = spec.rows[static_cast<size_t>(r)];
-          mismatches += !same(row, want[0].re) + !same(row + m, want[0].im) +
-                        !same(row + 2 * m, want[1].re) +
-                        !same(row + 3 * m, want[1].im);
+          const TLweSample& src =
+              cloud.groups[g][idx].rows[static_cast<size_t>(r)];
+          eng.forward_raw(coeffs(src.a), want.data(), want.data() + m);
+          eng.forward_raw(coeffs(src.b), want.data() + 2 * m,
+                          want.data() + 3 * m);
+          mismatches +=
+              std::memcmp(row, want.data(), 4 * m * sizeof(double)) != 0;
         }
       }
     }

@@ -128,6 +128,46 @@ TEST(Io, CloudKeysetWithRingKOtherThanOneIsRejected) {
       << read.status().to_string();
 }
 
+TEST(Io, GadgetTheLibraryCannotRunIsRejected) {
+  // l digits of bg_bits each must fit the 32-bit torus: at bg_bits = 10,
+  // l = 4 every digit shift 32 - (j+1) * bg_bits past the third goes
+  // negative. A keyset whose rows match that gadget is well formed, so only
+  // the gadget check can refuse it -- alone, or in the keyset's parameters.
+  const auto& K = shared_keys();
+  const GadgetParams wide{.bg_bits = 10, .l = 4};
+  CloudKeyset ck = K.ck1;
+  ck.params.gadget = wide;
+  ck.bk.gadget = wide;
+  for (auto& group : ck.bk.groups) {
+    for (TGswSample& tgsw : group) {
+      while (tgsw.rows_count() < 2 * wide.l) tgsw.rows.push_back(tgsw.rows[0]);
+    }
+  }
+  std::stringstream ps;
+  write_params(ps, ck.params);
+  const auto params = try_read_params(ps);
+  ASSERT_FALSE(params.ok());
+  EXPECT_EQ(params.status().code(), StatusCode::kOutOfRange)
+      << params.status().to_string();
+  std::stringstream ks;
+  write_cloud_keyset(ks, ck);
+  const auto read = try_read_cloud_keyset(ks);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kOutOfRange)
+      << read.status().to_string();
+
+  // A runnable gadget in the key that differs from the parameter set's: the
+  // step would decompose with one and read rows shaped by the other.
+  CloudKeyset other = K.ck1;
+  other.bk.gadget.bg_bits = K.params.gadget.bg_bits - 1;
+  std::stringstream os;
+  write_cloud_keyset(os, other);
+  const auto mismatched = try_read_cloud_keyset(os);
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kOutOfRange)
+      << mismatched.status().to_string();
+}
+
 TEST(Io, BadMagicIsInvalidArgument) {
   std::stringstream ss;
   ss.write("JUNKJUNKJUNK", 12);

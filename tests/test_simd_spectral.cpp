@@ -41,6 +41,11 @@ TorusPolynomial random_torus(Rng& rng, int n) {
   return p;
 }
 
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 // ---- dispatch resolution --------------------------------------------------
 
 TEST(SimdDispatch, ResolveHonorsOverrides) {
@@ -118,30 +123,76 @@ TEST(PlanarSpectral, StorageOrderIsAPermutation) {
 }
 
 // ---- exactness against the schoolbook reference ---------------------------
+//
+// Every check goes through the engine's two timed transforms (forward_raw,
+// inverse_raw) and the kernels the fused bundle step runs (kernels()).
+
+const int32_t* as_int32(const TorusPolynomial& p) {
+  return reinterpret_cast<const int32_t*>(p.coeffs.data());
+}
+
+/// Inverse-transform the planar spectrum (re plane, then im) at `s`.
+TorusPolynomial inverse(const SimdFftEngine& eng, const double* s) {
+  TorusPolynomial out(eng.ring_n());
+  eng.inverse_raw(s, s + eng.spectral_size(), out.coeffs.data());
+  return out;
+}
 
 class SimdEngineSweep
     : public ::testing::TestWithParam<std::tuple<int, SimdLevel>> {};
 
 TEST_P(SimdEngineSweep, ProductMatchesSchoolbookExactly) {
+  // One digit polynomial against one key row of two columns, through each
+  // MAC kernel of the fused step: mac2_rows sets both column sums, mac2
+  // accumulates them into zeroed planes, and scale_add adds the gadget
+  // identity's real constant times the digit spectrum.
   const auto [n, level] = GetParam();
   if (!simd_level_available(level)) {
     GTEST_SKIP() << "host cannot run " << simd_level_name(level);
   }
   Rng rng(3);
   SimdFftEngine eng(n, level);
+  const int m = eng.spectral_size();
   const IntPolynomial a = random_digits(rng, n);
-  const TorusPolynomial b = random_torus(rng, n);
-  TorusPolynomial ref(n);
-  negacyclic_multiply_reference(ref, a, b);
+  const TorusPolynomial b0 = random_torus(rng, n), b1 = random_torus(rng, n);
+  TorusPolynomial ref0(n), ref1(n);
+  negacyclic_multiply_reference(ref0, a, b0);
+  negacyclic_multiply_reference(ref1, a, b1);
 
-  SpectralP sa, sb, acc;
-  eng.to_spectral_int(a, sa);
-  eng.to_spectral_torus(b, sb);
-  eng.acc_init(acc);
-  eng.mac(acc, sa, sb);
-  TorusPolynomial out(n);
-  eng.from_spectral_acc(acc, out);
-  EXPECT_EQ(out, ref);
+  // The digit spectrum [re | im] and the key row [b0.re | b0.im | b1.re |
+  // b1.im], laid out as the fused step reads them.
+  std::vector<double> s(2 * static_cast<size_t>(m)),
+      key(4 * static_cast<size_t>(m));
+  eng.forward_raw(a.coeffs.data(), s.data(), s.data() + m);
+  eng.forward_raw(as_int32(b0), key.data(), key.data() + m);
+  eng.forward_raw(as_int32(b1), key.data() + 2 * m, key.data() + 3 * m);
+  const SpectralKernels& k = eng.kernels();
+
+  // mac2_rows overwrites its outputs, so NaN in them must not survive.
+  std::vector<double> acc(4 * static_cast<size_t>(m),
+                          std::numeric_limits<double>::quiet_NaN());
+  k.mac2_rows(m, 0, 1, s.data(), key.data(), acc.data(), acc.data() + m,
+              acc.data() + 2 * m, acc.data() + 3 * m);
+  EXPECT_EQ(inverse(eng, acc.data()), ref0) << "mac2_rows";
+  EXPECT_EQ(inverse(eng, acc.data() + 2 * m), ref1) << "mac2_rows";
+
+  std::fill(acc.begin(), acc.end(), 0.0);
+  k.mac2(m, s.data(), s.data() + m, key.data(), key.data() + m,
+         key.data() + 2 * m, key.data() + 3 * m, acc.data(), acc.data() + m,
+         acc.data() + 2 * m, acc.data() + 3 * m);
+  EXPECT_EQ(inverse(eng, acc.data()), ref0) << "mac2";
+  EXPECT_EQ(inverse(eng, acc.data() + 2 * m), ref1) << "mac2";
+
+  // + g * a for the gadget constant g = Bg^{-1} at bg_bits = 8, lifted to
+  // int32 as the fused step lifts it.
+  const Torus32 g = 1u << 24;
+  k.scale_add(m, acc.data(), acc.data() + m, s.data(), s.data() + m,
+              static_cast<double>(static_cast<int32_t>(g)));
+  for (int i = 0; i < n; ++i) {
+    ref0.coeffs[static_cast<size_t>(i)] +=
+        g * static_cast<Torus32>(a.coeffs[static_cast<size_t>(i)]);
+  }
+  EXPECT_EQ(inverse(eng, acc.data()), ref0) << "scale_add";
 }
 
 TEST_P(SimdEngineSweep, RoundTripIsIdentity) {
@@ -156,16 +207,14 @@ TEST_P(SimdEngineSweep, RoundTripIsIdentity) {
   Rng rng(4);
   SimdFftEngine eng(n, level);
   const TorusPolynomial p = random_torus(rng, n);
-  SpectralP s;
-  eng.to_spectral_torus(p, s);
-  TorusPolynomial back(n);
-  eng.from_spectral_torus(s, back);
-  EXPECT_EQ(back, p);
+  std::vector<double> s(static_cast<size_t>(n));
+  eng.forward_raw(as_int32(p), s.data(), s.data() + n / 2);
+  EXPECT_EQ(inverse(eng, s.data()), p);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SimdEngineSweep,
-    ::testing::Combine(::testing::Values(8, 16, 64, 128, 256, 1024),
+    ::testing::Combine(::testing::Values(8, 16, 64, 128, 256, 1024, 2048),
                        ::testing::Values(SimdLevel::kScalar, SimdLevel::kAvx2,
                                          SimdLevel::kAvx512)),
     [](const auto& info) {
@@ -173,93 +222,113 @@ INSTANTIATE_TEST_SUITE_P(
              simd_level_name(std::get<1>(info.param));
     });
 
-TEST(SimdEngine, MacAccumulatesMultipleRows) {
-  const int n = 256;
-  for (const SimdLevel level : testable_levels()) {
+TEST(SimdEngine, Mac2RowsAccumulatesMultipleRows) {
+  // Rows [r0, rows) of a digit-spectrum arena against a key block, laid out
+  // as the fused step lays them out: mac2_rows gives the sum of the per-row
+  // schoolbook products on both columns for every row count (chunks of 3,
+  // so 7 rows run 3 + 3 + 1) and for the pristine step's r0 = rows / 2, and
+  // a mac2-per-row chain gives the same bits. N = 64 runs the any-size body,
+  // N = 256 the m = 128 specialization.
+  constexpr int kRows = 7;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const int n : {64, 256}) {
     Rng rng(5);
-    SimdFftEngine eng(n, level);
-    TorusPolynomial ref(n);
-    SpectralP acc;
-    eng.acc_init(acc);
-    for (int r = 0; r < 6; ++r) {
-      const IntPolynomial a = random_digits(rng, n);
-      const TorusPolynomial b = random_torus(rng, n);
-      negacyclic_multiply_add_reference(ref, a, b);
-      SpectralP sa, sb;
-      eng.to_spectral_int(a, sa);
-      eng.to_spectral_torus(b, sb);
-      eng.mac(acc, sa, sb);
+    const int m = n / 2;
+    const size_t sm = static_cast<size_t>(m);
+    std::vector<IntPolynomial> a;
+    std::vector<TorusPolynomial> b0, b1;
+    std::vector<TorusPolynomial> p0(kRows, TorusPolynomial(n)),
+        p1(kRows, TorusPolynomial(n));
+    for (int r = 0; r < kRows; ++r) {
+      a.push_back(random_digits(rng, n));
+      b0.push_back(random_torus(rng, n));
+      b1.push_back(random_torus(rng, n));
+      negacyclic_multiply_reference(p0[static_cast<size_t>(r)], a.back(), b0.back());
+      negacyclic_multiply_reference(p1[static_cast<size_t>(r)], a.back(), b1.back());
     }
-    TorusPolynomial out(n);
-    eng.from_spectral_acc(acc, out);
-    EXPECT_EQ(out, ref) << simd_level_name(level);
+    for (const SimdLevel level : testable_levels()) {
+      SimdFftEngine eng(n, level);
+      const SpectralKernels& k = eng.kernels();
+      std::vector<double> spec(kRows * 2 * sm), key(kRows * 4 * sm);
+      for (int r = 0; r < kRows; ++r) {
+        const size_t ur = static_cast<size_t>(r);
+        double* s = spec.data() + ur * 2 * sm;
+        double* kb = key.data() + ur * 4 * sm;
+        eng.forward_raw(a[ur].coeffs.data(), s, s + m);
+        eng.forward_raw(as_int32(b0[ur]), kb, kb + m);
+        eng.forward_raw(as_int32(b1[ur]), kb + 2 * m, kb + 3 * m);
+      }
+      for (int rows = 1; rows <= kRows; ++rows) {
+        for (const int r0 : {0, rows / 2}) {
+          SCOPED_TRACE(testing::Message() << "n " << n << " level "
+                                          << k.name << " rows [" << r0
+                                          << ", " << rows << ")");
+          TorusPolynomial want0(n), want1(n);
+          for (int r = r0; r < rows; ++r) {
+            want0 += p0[static_cast<size_t>(r)];
+            want1 += p1[static_cast<size_t>(r)];
+          }
+          std::vector<double> acc(4 * sm, nan), chain(4 * sm, 0.0);
+          k.mac2_rows(m, r0, rows, spec.data(), key.data(), acc.data(),
+                      acc.data() + m, acc.data() + 2 * m, acc.data() + 3 * m);
+          EXPECT_EQ(inverse(eng, acc.data()), want0);
+          EXPECT_EQ(inverse(eng, acc.data() + 2 * m), want1);
+          for (int r = r0; r < rows; ++r) {
+            const double* s = spec.data() + static_cast<size_t>(r) * 2 * sm;
+            const double* kb = key.data() + static_cast<size_t>(r) * 4 * sm;
+            k.mac2(m, s, s + m, kb, kb + m, kb + 2 * m, kb + 3 * m,
+                   chain.data(), chain.data() + m, chain.data() + 2 * m,
+                   chain.data() + 3 * m);
+          }
+          EXPECT_TRUE(same_bits(chain, acc));
+        }
+      }
+    }
   }
 }
 
 TEST(SimdEngine, RotScaleAddMatchesCoefficientDomain) {
   const int n = 256;
+  const int m = n / 2;
   for (const SimdLevel level : testable_levels()) {
     Rng rng(6);
     SimdFftEngine eng(n, level);
     const TorusPolynomial p = random_torus(rng, n);
+    std::vector<double> sp(static_cast<size_t>(n));
+    eng.forward_raw(as_int32(p), sp.data(), sp.data() + m);
     for (int64_t c : {1, 5, 100, 255, 256, 300, 511, -3, -511}) {
-      SpectralP sp, dst(n / 2);
-      eng.to_spectral_torus(p, sp);
-      dst.clear();
-      eng.rot_scale_add(dst, sp, c);
-      TorusPolynomial got(n);
-      eng.from_spectral_torus(dst, got);
+      std::vector<double> dst(static_cast<size_t>(n), 0.0);
+      eng.kernels().rot_scale_add(eng.plan(), dst.data(), dst.data() + m,
+                                  sp.data(), sp.data() + m, c);
       TorusPolynomial ref(n);
       multiply_by_xpower_minus_one(ref, p, -c);
-      EXPECT_LE(max_torus_distance(got, ref), 1e-7)
+      EXPECT_LE(max_torus_distance(inverse(eng, dst.data()), ref), 1e-7)
           << "c=" << c << " level=" << simd_level_name(level);
-    }
-  }
-}
-
-TEST(SimdEngine, AddConstantIsConstantPolynomial) {
-  const int n = 128;
-  for (const SimdLevel level : testable_levels()) {
-    SimdFftEngine eng(n, level);
-    SpectralP s(n / 2);
-    const Torus32 g = double_to_torus32(0.124);
-    eng.add_constant(s, g);
-    TorusPolynomial out(n);
-    eng.from_spectral_torus(s, out);
-    EXPECT_LE(torus_distance(out.coeffs[0], g), 1e-8);
-    for (int i = 1; i < n; ++i) {
-      EXPECT_LE(torus_distance(out.coeffs[i], 0), 1e-8) << i;
     }
   }
 }
 
 TEST(SimdEngine, TransformIsLinear) {
   const int n = 256;
+  const int m = n / 2;
   for (const SimdLevel level : testable_levels()) {
     Rng rng(7);
     SimdFftEngine eng(n, level);
     const TorusPolynomial p = random_torus(rng, n), q = random_torus(rng, n);
-    SpectralP sp, sq, ssum;
-    eng.to_spectral_torus(p, sp);
-    eng.to_spectral_torus(q, sq);
-    eng.to_spectral_torus(p + q, ssum);
-    for (int k = 0; k < n / 2; ++k) {
-      sp.re[k] += sq.re[k];
-      sp.im[k] += sq.im[k];
-    }
-    TorusPolynomial from_sum(n), from_add(n);
-    eng.from_spectral_torus(ssum, from_sum);
-    eng.from_spectral_torus(sp, from_add);
-    EXPECT_LE(max_torus_distance(from_sum, from_add), 1e-7);
+    const TorusPolynomial sum = p + q;
+    std::vector<double> sp(static_cast<size_t>(n)), sq(sp.size()),
+        ssum(sp.size());
+    eng.forward_raw(as_int32(p), sp.data(), sp.data() + m);
+    eng.forward_raw(as_int32(q), sq.data(), sq.data() + m);
+    eng.forward_raw(as_int32(sum), ssum.data(), ssum.data() + m);
+    for (size_t k = 0; k < sp.size(); ++k) sp[k] += sq[k];
+    EXPECT_LE(max_torus_distance(inverse(eng, ssum.data()),
+                                 inverse(eng, sp.data())),
+              1e-7);
   }
 }
 
 // ---- transforms across levels ---------------------------------------------
-
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
 
 TEST(SimdEngine, TransformsAgreeAcrossTiers) {
   // N = 16 runs a pair pass after its twist stage; N = 64, 256 and 1024 end
@@ -442,44 +511,86 @@ TEST(SimdEngine, IndexKernelsBitIdenticalAcrossLevels) {
   }
 }
 
-// ---- external product + bootstrap: decrypt-path equivalence ---------------
+// ---- bundle step + bootstrap: decrypt-path equivalence --------------------
 
-TEST(SimdEngine, ExternalProductMatchesDoubleEngineDecryptPath) {
+TEST(SimdEngine, FusedStepMatchesDoubleEngineDecryptPath) {
+  // One m = 2 bundle step, every subset active: the fused bundle_rotate_step
+  // on every tier against the Double engine's materialized build_bundle +
+  // external_product. Ciphertexts differ in float round-off; phases agree to
+  // decrypt depth. The counters pin each case's transform work.
   const auto& K = test::shared_keys();
   const int n = K.params.ring.n_ring;
+  const GadgetParams& gd = K.params.gadget;
+  const int l = gd.l;
+  UnrolledBootstrapKey cloud; // the first group of the m = 2 key
+  cloud.unroll_m = 2;
+  cloud.n_lwe = 2;
+  cloud.ring = K.params.ring;
+  cloud.gadget = gd;
+  cloud.groups = {K.ck2.bk.groups[0]};
+  const std::vector<int32_t> exponents{37, 301, 338};
+
+  // Steady state: a random ACC. Pristine: ACC = (0, testv * X^{-barb}) for
+  // the constant gate test vector.
   Rng rng = test::test_rng(0x51D);
-  SpectralD dkey_spec;
-  K.deng.to_spectral_int(K.sk.tlwe.s, dkey_spec);
-  const TGswSample raw =
-      tgsw_encrypt(K.deng, K.sk.tlwe, dkey_spec, K.params.gadget, 1,
-                   K.params.ring.sigma, rng);
+  TLweSample steady(n);
+  for (auto& c : steady.a.coeffs) c = rng.uniform_torus();
+  for (auto& c : steady.b.coeffs) c = rng.uniform_torus();
+  const Torus32 mu = K.params.mu();
+  TorusPolynomial testv(n), testv_rot(n);
+  for (auto& c : testv.coeffs) c = mu;
+  LweSample x(K.params.lwe.n);
+  x.b = rng.uniform_torus();
+  TLweSample pristine(n);
+  BlindRotateState pristine_st;
+  blind_rotate_init(K.deng, x, testv, testv_rot, pristine, pristine_st);
 
-  TLweSample acc0(n);
-  for (auto& c : acc0.a.coeffs) c = rng.uniform_torus();
-  for (auto& c : acc0.b.coeffs) c = rng.uniform_torus();
+  const auto dkey = load_bootstrap_key(K.deng, cloud);
+  auto bundle = make_bundle_storage(K.deng, gd);
+  ExternalProductWorkspace<DoubleFftEngine> dws(K.deng, gd);
+  const auto reference = [&](TLweSample acc, bool a_is_zero) {
+    EXPECT_TRUE(build_bundle(K.deng, gd, dkey.groups[0], exponents, bundle));
+    external_product(K.deng, gd, bundle, acc, dws, a_is_zero);
+    return tlwe_phase(K.sk.tlwe, acc);
+  };
+  const TorusPolynomial want_steady = reference(steady, false);
+  const TorusPolynomial want_pristine = reference(pristine, true);
 
-  // Reference: double engine.
-  auto dtgsw = tgsw_to_spectral(K.deng, raw);
-  ExternalProductWorkspace<DoubleFftEngine> dws(K.deng, K.params.gadget);
-  TLweSample dacc = acc0;
-  external_product(K.deng, K.params.gadget, dtgsw, dacc, dws);
-  const TorusPolynomial dphase = tlwe_phase(K.sk.tlwe, dacc);
-
+  GateTestvSpectra tc;
+  set_gate_testv_digits(tc, mu, gd);
   for (const SimdLevel level : testable_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
     SimdFftEngine eng(n, level);
-    auto stgsw = tgsw_to_spectral(eng, raw);
-    ExternalProductWorkspace<SimdFftEngine> sws(eng, K.params.gadget);
-    TLweSample sacc = acc0;
+    const auto skey = load_bootstrap_key(eng, cloud);
+    BootstrapWorkspace<SimdFftEngine> ws(eng, gd);
+    const EngineCounters& ctr = eng.counters();
+
+    TLweSample acc = steady;
+    BlindRotateState st{.barb = 0, .pristine = false};
     eng.counters().reset();
-    external_product(eng, K.params.gadget, stgsw, sacc, sws);
-    // Ciphertexts differ in float round-off; phases agree to decrypt depth.
-    const TorusPolynomial sphase = tlwe_phase(K.sk.tlwe, sacc);
-    EXPECT_LE(max_torus_distance(sphase, dphase), 1e-6)
-        << simd_level_name(level);
-    // Counter scopes: exactly 2l forward + 2 inverse kernel invocations per
-    // external product, each timed once (no nesting).
-    EXPECT_EQ(eng.counters().to_spectral_calls, 2 * K.params.gadget.l);
-    EXPECT_EQ(eng.counters().from_spectral_calls, 2);
+    bundle_rotate_step(eng, skey, 0, exponents, acc, ws.bundle, ws.ep, st,
+                       nullptr);
+    EXPECT_LE(max_torus_distance(tlwe_phase(K.sk.tlwe, acc), want_steady),
+              1e-6);
+    EXPECT_EQ(ctr.to_spectral_calls, 2 * l);
+    EXPECT_EQ(ctr.from_spectral_calls, 2);
+    EXPECT_EQ(ctr.zero_fft_skips, 0);
+    EXPECT_EQ(ctr.testv_fft_reuses, 0);
+
+    // The pristine step with the cached test vector runs no forward FFT:
+    // the a-digits vanish and the b-digit spectra come from F(ones).
+    acc = pristine;
+    st = pristine_st;
+    eng.counters().reset();
+    bundle_rotate_step(eng, skey, 0, exponents, acc, ws.bundle, ws.ep, st,
+                       &tc);
+    EXPECT_LE(max_torus_distance(tlwe_phase(K.sk.tlwe, acc), want_pristine),
+              1e-6);
+    EXPECT_EQ(ctr.to_spectral_calls, 0);
+    EXPECT_EQ(ctr.from_spectral_calls, 2);
+    EXPECT_EQ(ctr.zero_fft_skips, l);
+    EXPECT_EQ(ctr.testv_fft_reuses, l);
+    EXPECT_FALSE(st.pristine);
   }
 }
 
