@@ -251,7 +251,8 @@ struct KsRow {
 };
 
 /// Keyswitch latency rows at test_small: the seed AoS baseline, the SoA
-/// per-sample path (scalar + active SIMD), and the batch-amortized path that
+/// key_switch_batch with one sample per call (`per_sample`, the eager
+/// evaluator's shape; scalar + active SIMD), and with 8 or 32 samples, which
 /// streams the key once per batch.
 void keyswitch_rows(const CloudKeyset& ck, const char* active_name,
                     std::vector<KsRow>& out) {
@@ -277,10 +278,14 @@ void keyswitch_rows(const CloudKeyset& ck, const char* active_name,
 
   const auto per_sample = [&](SimdLevel level, const char* path) {
     LweSample o(ks.n_out);
+    LweSample* op = &o;
+    KeySwitchWorkspace ws;
     int idx = 0;
     const Timing ns = time_ns_per_op(
-        [&] { key_switch_into(ks, in[static_cast<size_t>(idx++ % kPool)], o,
-                              level); },
+        [&] {
+          const LweSample* ip = &in[static_cast<size_t>(idx++ % kPool)];
+          key_switch_batch(ks, &ip, &op, 1, ws, level);
+        },
         400);
     out.push_back({path, "per_sample", ns, eff(ns.median)});
   };

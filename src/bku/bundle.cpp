@@ -26,19 +26,13 @@ void set_gate_testv_digits(GateTestvSpectra& tc, Torus32 mu,
   tc.mu = mu;
   tc.dplus.resize(static_cast<size_t>(g.l));
   tc.beta.resize(static_cast<size_t>(g.l));
-  const uint32_t off = g.rounding_offset();
-  const uint32_t mask = (1u << g.bg_bits) - 1;
-  const int32_t half = 1 << (g.bg_bits - 1);
-  const Torus32 neg_mu = static_cast<Torus32>(0u - mu);
+  int32_t dp[32], dm[32]; // l * bg_bits <= 32 bounds l
+  decompose_coefficient(g, mu, dp);
+  decompose_coefficient(g, static_cast<Torus32>(0u - mu), dm);
   for (int j = 0; j < g.l; ++j) {
-    const int sh = 32 - (j + 1) * g.bg_bits;
-    const int32_t dp =
-        static_cast<int32_t>(((mu + off) >> sh) & mask) - half;
-    const int32_t dm =
-        static_cast<int32_t>(((neg_mu + off) >> sh) & mask) - half;
-    tc.dplus[static_cast<size_t>(j)] = static_cast<double>(dp);
+    tc.dplus[static_cast<size_t>(j)] = static_cast<double>(dp[j]);
     // Exact in double: dp - dm is an int, so beta is a half-integer.
-    tc.beta[static_cast<size_t>(j)] = static_cast<double>(dp - dm) * 0.5;
+    tc.beta[static_cast<size_t>(j)] = static_cast<double>(dp[j] - dm[j]) * 0.5;
   }
   tc.mu_valid = true;
 }

@@ -48,11 +48,9 @@ struct Registry::Impl {
   bool env_loaded = false;
 };
 
-#ifndef MATCHA_NO_FAULT_INJECTION
 namespace detail {
 bool g_active = false;
 } // namespace detail
-#endif
 
 Registry::Registry() : impl_(new Impl) {}
 
@@ -79,9 +77,7 @@ void Registry::reload_env() {
   impl_->chaos = true;
   impl_->seed = parsed->first;
   impl_->rate = parsed->second;
-#ifndef MATCHA_NO_FAULT_INJECTION
   __atomic_store_n(&detail::g_active, true, __ATOMIC_RELAXED);
-#endif
 }
 
 void Registry::enable_chaos(uint64_t seed, double rate) {
@@ -89,9 +85,7 @@ void Registry::enable_chaos(uint64_t seed, double rate) {
   impl_->chaos = rate > 0;
   impl_->seed = seed;
   impl_->rate = rate;
-#ifndef MATCHA_NO_FAULT_INJECTION
   if (impl_->chaos) __atomic_store_n(&detail::g_active, true, __ATOMIC_RELAXED);
-#endif
 }
 
 void Registry::arm(const std::string& site, uint64_t after_checks,
@@ -99,9 +93,7 @@ void Registry::arm(const std::string& site, uint64_t after_checks,
   std::lock_guard<std::mutex> lk(impl_->mu);
   Site& s = impl_->sites[site];
   s.armed.push_back(ArmedBurst{s.checks + after_checks, count});
-#ifndef MATCHA_NO_FAULT_INJECTION
   __atomic_store_n(&detail::g_active, true, __ATOMIC_RELAXED);
-#endif
 }
 
 void Registry::reset() {
@@ -110,9 +102,7 @@ void Registry::reset() {
   impl_->chaos = false;
   impl_->rate = 0;
   impl_->fires_total = 0;
-#ifndef MATCHA_NO_FAULT_INJECTION
   __atomic_store_n(&detail::g_active, false, __ATOMIC_RELAXED);
-#endif
 }
 
 bool Registry::active() const {
@@ -158,7 +148,6 @@ StatusOr<std::pair<uint64_t, double>> parse_faults_env(const std::string& v) {
   return std::make_pair(static_cast<uint64_t>(seed), rate);
 }
 
-#ifndef MATCHA_NO_FAULT_INJECTION
 namespace detail {
 
 bool should_fire_slow(const char* site, Scope scope) {
@@ -191,6 +180,5 @@ bool should_fire_slow(const char* site, Scope scope) {
 }
 
 } // namespace detail
-#endif // MATCHA_NO_FAULT_INJECTION
 
 } // namespace matcha::fault

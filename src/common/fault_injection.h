@@ -20,12 +20,11 @@
 //    non-recoverable paths like deserialization and the chip simulator) to
 //    fire at chosen check indices, for deterministic single-fault tests.
 //
-// Overhead contract: sites ship compiled in. A disabled registry costs one
-// relaxed atomic load + predicted branch per check, and sites sit at task /
-// flush granularity (milliseconds of FFTs apart), never in inner loops; the
-// CI latency gates (scripts/bench_trend.py) hold with sites compiled in but
-// disabled. -DMATCHA_FAULT_INJECTION=OFF compiles every site out entirely
-// for paranoid deployments (should_fire becomes a constant-false inline).
+// Overhead contract: sites are always compiled in. A disabled registry
+// costs one relaxed atomic load + predicted branch per check, and sites sit
+// at task / flush granularity (milliseconds of FFTs apart), never in inner
+// loops; the CI latency gates (scripts/bench_trend.py) hold with sites
+// compiled in but disabled.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +49,6 @@ struct SiteStats {
   uint64_t fires = 0;
 };
 
-#ifndef MATCHA_NO_FAULT_INJECTION
-
 namespace detail {
 extern bool g_active; ///< fast-path gate, written only under the registry lock
 bool should_fire_slow(const char* site, Scope scope);
@@ -65,16 +62,9 @@ inline bool should_fire(const char* site, Scope scope = Scope::kChaos) {
   return detail::should_fire_slow(site, scope);
 }
 
+/// Always true: every build carries the sites. The bench JSON headers
+/// record it.
 inline constexpr bool compiled_in() { return true; }
-
-#else // MATCHA_NO_FAULT_INJECTION
-
-inline constexpr bool should_fire(const char*, Scope = Scope::kChaos) {
-  return false;
-}
-inline constexpr bool compiled_in() { return false; }
-
-#endif
 
 /// Global registry behind should_fire. All methods are thread-safe; arming /
 /// configuration is meant to happen while no batch is in flight.
@@ -110,9 +100,7 @@ class Registry {
   Registry();
   struct Impl;
   Impl* impl_; // intentionally leaked singleton state
-#ifndef MATCHA_NO_FAULT_INJECTION
   friend bool detail::should_fire_slow(const char* site, Scope scope);
-#endif
 };
 
 /// Parse a MATCHA_FAULTS value ("seed:rate", e.g. "42:0.01"). Exposed for

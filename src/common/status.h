@@ -14,7 +14,7 @@
 // never converted to Status.
 #pragma once
 
-#include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -118,43 +118,27 @@ class [[nodiscard]] StatusOr {
       status_ = internal_status("StatusOr constructed from an OK status");
     }
   }
-  StatusOr(T value) // NOLINT(implicit)
-      : status_(), has_value_(true) {
-    new (&storage_) T(std::move(value));
-  }
-  StatusOr(StatusOr&& o) noexcept(std::is_nothrow_move_constructible_v<T>)
-      : status_(std::move(o.status_)), has_value_(o.has_value_) {
-    if (has_value_) new (&storage_) T(std::move(*o.ptr()));
-  }
-  StatusOr& operator=(StatusOr&& o) noexcept(
-      std::is_nothrow_move_constructible_v<T>) {
-    if (this != &o) {
-      destroy();
-      status_ = std::move(o.status_);
-      has_value_ = o.has_value_;
-      if (has_value_) new (&storage_) T(std::move(*o.ptr()));
-    }
-    return *this;
-  }
+  StatusOr(T value) : value_(std::move(value)) {} // NOLINT(implicit)
+  StatusOr(StatusOr&&) = default;
+  StatusOr& operator=(StatusOr&&) = default;
   StatusOr(const StatusOr&) = delete;
   StatusOr& operator=(const StatusOr&) = delete;
-  ~StatusOr() { destroy(); }
 
-  bool ok() const { return has_value_; }
+  bool ok() const { return value_.has_value(); }
   const Status& status() const { return status_; }
 
   /// Value access requires ok(); misuse is a programmer error and throws.
   T& value() & {
     check();
-    return *ptr();
+    return *value_;
   }
   const T& value() const& {
     check();
-    return *ptr();
+    return *value_;
   }
   T&& value() && {
     check();
-    return std::move(*ptr());
+    return std::move(*value_);
   }
   T& operator*() & { return value(); }
   const T& operator*() const& { return value(); }
@@ -162,23 +146,12 @@ class [[nodiscard]] StatusOr {
   const T* operator->() const { return &value(); }
 
  private:
-  T* ptr() { return std::launder(reinterpret_cast<T*>(&storage_)); }
-  const T* ptr() const {
-    return std::launder(reinterpret_cast<const T*>(&storage_));
-  }
   void check() const {
-    if (!has_value_) throw StatusError(status_);
-  }
-  void destroy() {
-    if (has_value_) {
-      ptr()->~T();
-      has_value_ = false;
-    }
+    if (!value_) throw StatusError(status_);
   }
 
   Status status_;
-  bool has_value_ = false;
-  alignas(T) unsigned char storage_[sizeof(T)];
+  std::optional<T> value_;
 };
 
 } // namespace matcha

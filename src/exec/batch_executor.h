@@ -399,7 +399,6 @@ class BatchExecutor {
   /// Repair sweeps allowed after a faulted pool run (0 disables retry;
   /// each sweep recomputes only the invalid nodes of still-failed items).
   void set_max_retries(int n) { max_retries_ = std::max(0, n); }
-  int max_retries() const { return max_retries_; }
 
  private:
   struct Worker {

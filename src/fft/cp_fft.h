@@ -38,7 +38,6 @@ class CpFft {
   void transform(const std::complex<double>* in, std::complex<double>* out) const;
 
   const Stats& stats() const { return stats_; }
-  void reset_stats() const { stats_ = {}; }
 
  private:
   void recurse(std::complex<double>* out, const std::complex<double>* in,

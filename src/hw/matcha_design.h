@@ -14,8 +14,7 @@ struct MatchaConfig {
   Process process;
   int pipelines = 8;            ///< TGSW cluster + EP core pairs
   // TGSW cluster
-  int tgsw_mults = 16;          ///< 32-bit multipliers per cluster
-  int tgsw_adders = 16;
+  int tgsw_mults = 16;          ///< 32-bit multiply-add units per cluster
   int tgsw_simd = 8;            ///< lanes per multiplier (calibrated; gives the
                                 ///< cluster its bundle throughput)
   double tgsw_regfile_kb = 16;

@@ -225,7 +225,7 @@ void classic_bootstrap_wo_keyswitch_into(const Engine& eng,
     acc += ws.tmp;
     st.pristine = false;
   }
-  sample_extract_into(acc, out);
+  sample_extract_at(acc, 0, out);
 }
 
 /// The SIMD engine's classic chain: its key is the bundle arena alone, and

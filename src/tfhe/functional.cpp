@@ -28,13 +28,10 @@ LweSample encrypt_message(const LweKey& key, int value, int slots, double sigma,
 }
 
 int decrypt_message(const LweKey& key, const LweSample& c, int slots) {
+  const DecodeAudit a = decode_message_audited(lwe_phase(key, c), slots);
   auto& audit = noise::MarginAudit::instance();
-  if (audit.enabled()) {
-    const DecodeAudit a = decode_message_audited(lwe_phase(key, c), slots);
-    audit.record(a);
-    return a.value;
-  }
-  return decode_message(lwe_phase(key, c), slots);
+  if (audit.enabled()) audit.record(a);
+  return a.value;
 }
 
 } // namespace matcha

@@ -51,8 +51,7 @@ inline constexpr double kDecodeGuardFraction = 0.25;
 /// nearest its own slot going the short way round. fabs alone would hand it
 /// to the slot on the far end of the number line. The audited variant
 /// surfaces that distance and flags guard-band decodes.
-inline DecodeAudit decode_message_audited(
-    Torus32 phase, int slots, double guard_fraction = kDecodeGuardFraction) {
+inline DecodeAudit decode_message_audited(Torus32 phase, int slots) {
   DecodeAudit a;
   a.cell_halfwidth = 1.0 / (4.0 * slots); // centers are 1/(2*slots) apart
   a.distance = 1.0;
@@ -63,7 +62,7 @@ inline DecodeAudit decode_message_audited(
       a.value = i;
     }
   }
-  a.suspect = a.distance > (1.0 - guard_fraction) * a.cell_halfwidth;
+  a.suspect = a.distance > (1.0 - kDecodeGuardFraction) * a.cell_halfwidth;
   return a;
 }
 
@@ -74,15 +73,14 @@ inline int decode_message(Torus32 phase, int slots) {
 /// Audited sign decode of a gate-level phase (message +-mu). The decision
 /// boundaries are 0 and 1/2, so the margin cell is min(mu, 1/2 - mu) wide --
 /// 1/8 for the standard gate amplitude.
-inline DecodeAudit decode_bit_audited(
-    Torus32 phase, Torus32 mu, double guard_fraction = kDecodeGuardFraction) {
+inline DecodeAudit decode_bit_audited(Torus32 phase, Torus32 mu) {
   DecodeAudit a;
   a.value = static_cast<int32_t>(phase) > 0 ? 1 : 0;
   const Torus32 center = a.value ? mu : static_cast<Torus32>(-mu);
   a.distance = torus_distance(phase, center);
   const double m = std::fabs(torus32_to_double(mu));
   a.cell_halfwidth = std::min(m, 0.5 - m);
-  a.suspect = a.distance > (1.0 - guard_fraction) * a.cell_halfwidth;
+  a.suspect = a.distance > (1.0 - kDecodeGuardFraction) * a.cell_halfwidth;
   return a;
 }
 
@@ -93,7 +91,8 @@ TorusPolynomial make_lut_testvector(int n_ring, std::span<const Torus32> values)
 
 /// Bootstrap x through the LUT: LWE(f(m)) with fresh noise, under the gate
 /// key (key switch included). A by-value batch of one through
-/// rotate_extract_batch (tfhe/bootstrap.h), for examples and tests.
+/// rotate_extract_batch (tfhe/bootstrap.h) and key_switch_batch, for
+/// examples and tests.
 template <class Engine>
 LweSample functional_bootstrap(const Engine& eng,
                                const DeviceBootstrapKey<Engine>& key,
@@ -106,7 +105,10 @@ LweSample functional_bootstrap(const Engine& eng,
   LweSample* up = &u;
   const int offset = 0;
   rotate_extract_batch(eng, key, testv, &in, &up, &offset, 1, 1, ws);
-  key_switch_into(ks, u, out);
+  const LweSample* uc = &u;
+  LweSample* outp = &out;
+  KeySwitchWorkspace ks_ws;
+  key_switch_batch(ks, &uc, &outp, 1, ks_ws);
   return out;
 }
 
@@ -131,8 +133,8 @@ inline LweSample lut_cone_input(const LutSpec& spec,
 }
 
 /// Convenience: encrypt/decrypt multi-valued messages at the gate LWE layer.
-/// (decrypt_message decodes through decode_message, so it inherits the
-/// circular-distance wraparound handling above.)
+/// (decrypt_message decodes through decode_message_audited, so it inherits
+/// the circular-distance wraparound handling above.)
 LweSample encrypt_message(const LweKey& key, int value, int slots, double sigma,
                           Rng& rng);
 int decrypt_message(const LweKey& key, const LweSample& c, int slots);

@@ -115,6 +115,13 @@ class GateEvaluator {
     }
   }
 
+  /// out = KeySwitch(u_[0]): a batch of one through key_switch_batch.
+  void key_switch_u0(LweSample& out) {
+    const LweSample* u = &u_[0];
+    LweSample* o = &out;
+    key_switch_batch(ks_, &u, &o, 1, ks_ws_);
+  }
+
   LweSample binary_gate(GateKind kind, LweSample combo, int64_t linear_ns) {
     auto& bd = breakdown_[static_cast<int>(kind)];
     bd.gates += 1;
@@ -126,7 +133,7 @@ class GateEvaluator {
     const LweSample* in = &combo;
     LweSample* u = &u_[0];
     rotate(&in, &u, 1);
-    key_switch_into(ks_, u_[0], combo);
+    key_switch_u0(combo);
     const int64_t boot = ns_since(t0);
     const int64_t ifft = ctr.to_spectral_ns - to0;
     const int64_t fft = ctr.from_spectral_ns - from0;
@@ -143,6 +150,7 @@ class GateEvaluator {
   Torus32 mu_;
   BlindRotateMode mode_;
   BootstrapWorkspace<Engine> ws_;
+  KeySwitchWorkspace ks_ws_;
   /// Staged branch combos (MUX) and the N-LWE rotations they feed.
   std::array<LweSample, 2> in_, u_;
   std::array<GateBreakdown, 8> breakdown_{};
@@ -164,7 +172,7 @@ LweSample GateEvaluator<Engine>::gate_mux(const LweSample& sel,
   rotate(ins.data(), us.data(), 2);
   mux_combine(u_[0], u_[1], mu_);
   LweSample out;
-  key_switch_into(ks_, u_[0], out);
+  key_switch_u0(out);
   const int64_t total = ns_since(t0);
   const int64_t ifft = ctr.to_spectral_ns - to0;
   const int64_t fft = ctr.from_spectral_ns - from0;

@@ -18,13 +18,7 @@ LweSample SecretKeyset::encrypt_bit(int bit, Rng& rng) const {
 }
 
 int SecretKeyset::decrypt_bit(const LweSample& c) const {
-  auto& audit = noise::MarginAudit::instance();
-  if (audit.enabled()) {
-    const DecodeAudit a = decode_bit_audited(lwe_phase(lwe, c), params.mu());
-    audit.record(a);
-    return a.value;
-  }
-  return lwe_decrypt_bit(lwe, c);
+  return decrypt_bit_audited(c).value;
 }
 
 DecodeAudit SecretKeyset::decrypt_bit_audited(const LweSample& c) const {

@@ -21,18 +21,14 @@
 //     Digit extraction emits indices in exactly this order, so the batched
 //     accumulate walks the key arena and the digit array in lockstep.
 //
-// Two evaluation shapes share the layout:
+// One evaluation shape, key_switch_batch, serves every caller: extract every
+// sample's digit indices first (ks_digits kernel), then make ONE pass over
+// the key applying each visited row to every sample that selected it -- the
+// big operand is read once per batch instead of once per sample. A
+// sequential caller (GateEvaluator, functional_bootstrap) is a batch of one.
 //
-//   key_switch_into   one sample, allocation-free, digits computed on the
-//                     fly; the whole key streams from memory per call.
-//   key_switch_batch  B samples: extract every sample's digit indices first
-//                     (ks_digits kernel), then make ONE pass over the key
-//                     applying each visited row to every sample that
-//                     selected it -- the big operand is read once per batch
-//                     instead of once per sample.
-//
-// Torus arithmetic is exact mod 2^32 and commutative, so both shapes and
-// every SIMD dispatch level (fft/spectral_kernels.h keyswitch kernels)
+// Torus arithmetic is exact mod 2^32 and commutative, so every batch size
+// and every SIMD dispatch level (fft/spectral_kernels.h keyswitch kernels)
 // produce bit-identical outputs.
 #pragma once
 
@@ -85,17 +81,10 @@ struct KeySwitchWorkspace {
   AlignedVector<uint32_t> digits; ///< [batch][t_used * n_in], j-major
 };
 
-/// out = KeySwitch(c) under the target key, written in place (out is resized
-/// to n_out; no allocation once at capacity). out must not alias c.
-void key_switch_into(const KeySwitchKey& ks, const LweSample& c,
-                     LweSample& out, SimdLevel level = active_simd_level());
-
-/// Convenience by-value wrapper around key_switch_into.
-LweSample key_switch(const KeySwitchKey& ks, const LweSample& c);
-
 /// Batched key switch: out[k] = KeySwitch(*in[k]) for k in [0, batch), with
-/// the key streamed from memory once for the whole batch. Bit-identical to
-/// `batch` calls of key_switch_into. in[k]/out[k] must not alias each other.
+/// the key streamed from memory once for the whole batch. Each out[k] is
+/// resized to n_out (no allocation once at capacity); a batch of B is
+/// bit-identical to B batches of one. in[k]/out[k] must not alias each other.
 void key_switch_batch(const KeySwitchKey& ks, const LweSample* const* in,
                       LweSample* const* out, int batch, KeySwitchWorkspace& ws,
                       SimdLevel level = active_simd_level());

@@ -120,11 +120,6 @@ inline void lut_cell_on_grid(int s, int grid_log, int& slot, int& sign) {
   sign = t < half ? 1 : -1;
 }
 
-/// Grid-3 shorthand (the stock gate grid) kept for the classic callers.
-inline void lut_cell(int s, int& slot, int& sign) {
-  lut_cell_on_grid(s, 3, slot, sign);
-}
-
 /// A cone-realization request for the generalized solver. Amplitudes may be
 /// pinned (3 or 4) or left to the search (0 = free: 3 always allowed, 4 only
 /// when the producer can be re-encoded). in_var carries the noise-variance

@@ -35,29 +35,10 @@ TorusPolynomial tlwe_phase(const TLweKey& key, const TLweSample& c) {
   return phase;
 }
 
-LweSample sample_extract(const TLweSample& c) {
-  LweSample out;
-  sample_extract_into(c, out);
-  return out;
-}
-
-void sample_extract_into(const TLweSample& c, LweSample& out) {
-  // Coefficient 0 of the message: b_0 - sum_i s_i * a'_i with
-  // a'_0 = a_0 and a'_i = -a_{N-i} for i > 0 (negacyclic transpose).
-  const int n = c.n_ring();
-  out.a.resize(static_cast<size_t>(n));
-  out.a[0] = c.a.coeffs[0];
-  for (int i = 1; i < n; ++i) {
-    out.a[static_cast<size_t>(i)] = static_cast<Torus32>(-c.a.coeffs[n - i]);
-  }
-  out.b = c.b.coeffs[0];
-}
-
 void sample_extract_at(const TLweSample& c, int j, LweSample& out) {
   // Coefficient j of the message: b_j - sum_i s_i * a'_i with
   // a'_i = a_{j-i} for i <= j and a'_i = -a_{N+j-i} for i > j (the
-  // negacyclic transpose shifted to row j). j = 0 reduces to
-  // sample_extract_into.
+  // negacyclic transpose shifted to row j).
   const int n = c.n_ring();
   out.a.resize(static_cast<size_t>(n));
   for (int i = 0; i <= j; ++i) {

@@ -1,6 +1,7 @@
 // Ring LWE over the torus (TLWE in the paper's notation, k = 1): samples
 // (a, b) in T_N[X] x T_N[X] with b = s*a + e + mu. The bootstrapping
-// accumulator ACC is a TLweSample.
+// accumulator ACC is a TLweSample; sample_extract_at is the one
+// SampleExtract, reading any coefficient of it out as an N-LWE sample.
 #pragma once
 
 #include "common/rng.h"
@@ -64,16 +65,10 @@ TLweSample tlwe_encrypt(const Engine& eng, const TLweKey& key,
 /// Exact phase b - s*a via the schoolbook product (tests / noise metering).
 TorusPolynomial tlwe_phase(const TLweKey& key, const TLweSample& c);
 
-/// Extract the LWE sample encrypting coefficient 0 of the message
-/// (paper Algorithm 1, line 8).
-LweSample sample_extract(const TLweSample& c);
-
-/// Allocation-free sample_extract: out is resized to N and overwritten.
-void sample_extract_into(const TLweSample& c, LweSample& out);
-
-/// Extract the LWE sample encrypting coefficient j of the message (the
-/// multi-output LUT path reads one rotated accumulator at several offsets).
-/// j = 0 matches sample_extract_into exactly.
+/// Extract the LWE sample encrypting coefficient j of the message (paper
+/// Algorithm 1, line 8, reads j = 0; the multi-output LUT path reads one
+/// rotated accumulator at several offsets). out is resized to N and
+/// overwritten, so a reused out allocates nothing.
 void sample_extract_at(const TLweSample& c, int j, LweSample& out);
 
 } // namespace matcha

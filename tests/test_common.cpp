@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/types.h"
 
 namespace matcha {
@@ -143,6 +148,51 @@ TEST(Bits, Pow2AndLog) {
   EXPECT_EQ(ilog2(1), 0);
   EXPECT_EQ(ilog2(1024), 10);
   EXPECT_EQ(ilog2(1023), 9);
+}
+
+TEST(StatusOr, HoldsValue) {
+  const StatusOr<std::string> v(std::string("payload"));
+  ASSERT_TRUE(v.ok());
+  EXPECT_TRUE(v.status().ok());
+  EXPECT_EQ(*v, "payload");
+  EXPECT_EQ(v->size(), 7u);
+}
+
+TEST(StatusOr, MovesValueOut) {
+  static_assert(!std::is_copy_constructible_v<StatusOr<int>>);
+  static_assert(!std::is_copy_assignable_v<StatusOr<int>>);
+  StatusOr<std::unique_ptr<int>> v(std::make_unique<int>(42));
+  StatusOr<std::unique_ptr<int>> w = std::move(v);
+  ASSERT_TRUE(w.ok());
+  const std::unique_ptr<int> p = std::move(w).value();
+  EXPECT_EQ(*p, 42);
+
+  StatusOr<std::unique_ptr<int>> e(data_loss_status("truncated"));
+  e = StatusOr<std::unique_ptr<int>>(std::make_unique<int>(7));
+  ASSERT_TRUE(e.ok());
+  EXPECT_EQ(**e, 7);
+}
+
+TEST(StatusOr, CarriesErrorStatus) {
+  const StatusOr<int> e(data_loss_status("truncated"));
+  EXPECT_FALSE(e.ok());
+  EXPECT_EQ(e.status(), data_loss_status("truncated"));
+  // An OK status carries no value, so it becomes an internal error.
+  const StatusOr<int> no_value(Status::ok_status());
+  EXPECT_FALSE(no_value.ok());
+  EXPECT_EQ(no_value.status().code(), StatusCode::kInternal);
+}
+
+TEST(StatusOr, ValueOnErrorThrowsItsStatus) {
+  StatusOr<int> e(out_of_range_status("index 9"));
+  try {
+    (void)e.value();
+    ADD_FAILURE() << "value() on an error returned";
+  } catch (const StatusError& err) {
+    EXPECT_EQ(err.status(), out_of_range_status("index 9"));
+  }
+  EXPECT_THROW((void)std::as_const(e).value(), StatusError);
+  EXPECT_THROW((void)std::move(e).value(), StatusError);
 }
 
 } // namespace

@@ -557,9 +557,6 @@ TEST(MultiChip, DroppedTransferIsRetransmittedAndAccounted) {
   // An injected inter-chip link drop (fault::kSiteInterchipDrop, armed-only)
   // models a lost send: the link cycles are spent, the value never arrives,
   // and the schedule pays a full retransmission before any consumer starts.
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   sim::SimParams p;
   p.tfhe = TfheParams::security110();
   p.unroll_m = 1;

@@ -326,11 +326,6 @@ struct FaultGuard {
   ~FaultGuard() { fault::Registry::instance().reset(); }
 };
 
-// Tests that arm a site are meaningless when the sites are compiled out
-// (-DMATCHA_FAULT_INJECTION=OFF): skip, don't fail.
-#define SKIP_IF_FAULTS_COMPILED_OUT() \
-  if (!fault::compiled_in()) GTEST_SKIP() << "fault injection compiled out"
-
 struct FaultFixture {
   const AdderCmpCircuit c;
   std::vector<std::pair<uint64_t, uint64_t>> cases{{2, 13}, {8, 8}, {15, 1}};
@@ -347,7 +342,6 @@ struct FaultFixture {
 };
 
 TEST(FaultIsolation, TaskExceptionIsRepairedByBoundedRetry) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   const auto& K = shared_keys();
   const auto dk = load_device_keyset(K.deng, K.ck2);
   const FaultFixture f;
@@ -374,7 +368,6 @@ TEST(FaultIsolation, TaskExceptionIsRepairedByBoundedRetry) {
 }
 
 TEST(FaultIsolation, WithoutRetryTheFaultStaysOnItsItem) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   const auto& K = shared_keys();
   const auto dk = load_device_keyset(K.deng, K.ck2);
   const FaultFixture f;
@@ -419,7 +412,6 @@ TEST(FaultIsolation, WithoutRetryTheFaultStaysOnItsItem) {
 }
 
 TEST(FaultIsolation, DataPathFaultSitesAreRepairedInPlace) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   const auto& K = shared_keys();
   const auto dk = load_device_keyset(K.deng, K.ck2);
   const FaultFixture f;

@@ -21,11 +21,6 @@ struct RegistryGuard {
   ~RegistryGuard() { fault::Registry::instance().reset(); }
 };
 
-// Tests that need a site to actually fire are meaningless when the sites
-// are compiled out (-DMATCHA_FAULT_INJECTION=OFF): skip, don't fail.
-#define SKIP_IF_FAULTS_COMPILED_OUT() \
-  if (!fault::compiled_in()) GTEST_SKIP() << "fault injection compiled out"
-
 TEST(FaultRegistry, InactiveByDefault) {
   RegistryGuard g;
   EXPECT_FALSE(fault::Registry::instance().active());
@@ -37,7 +32,6 @@ TEST(FaultRegistry, InactiveByDefault) {
 }
 
 TEST(FaultRegistry, ArmFiresExactlyOnceAtTheArmedCheck) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   RegistryGuard g;
   auto& reg = fault::Registry::instance();
   reg.arm("test.site.a", /*after_checks=*/3, /*count=*/1);
@@ -55,7 +49,6 @@ TEST(FaultRegistry, ArmFiresExactlyOnceAtTheArmedCheck) {
 }
 
 TEST(FaultRegistry, ArmBurstAndScopeIndependence) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   RegistryGuard g;
   auto& reg = fault::Registry::instance();
   reg.arm("test.site.a", 0, 3);
@@ -69,7 +62,6 @@ TEST(FaultRegistry, ArmBurstAndScopeIndependence) {
 }
 
 TEST(FaultRegistry, ChaosIsDeterministicPerSeedSiteAndCheck) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   RegistryGuard g;
   auto& reg = fault::Registry::instance();
   const int kChecks = 4000;
@@ -97,7 +89,6 @@ TEST(FaultRegistry, ChaosIsDeterministicPerSeedSiteAndCheck) {
 }
 
 TEST(FaultRegistry, ChaosRespectsArmedOnlyScope) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   RegistryGuard g;
   fault::Registry::instance().enable_chaos(7, 1.0);
   // Rate 1.0 fires every kChaos check but must never touch kArmedOnly sites.
@@ -106,7 +97,6 @@ TEST(FaultRegistry, ChaosRespectsArmedOnlyScope) {
 }
 
 TEST(FaultRegistry, StatsCountChecksAndFires) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   RegistryGuard g;
   auto& reg = fault::Registry::instance();
   reg.arm("test.site.a", 1, 2);
@@ -136,7 +126,6 @@ TEST(FaultRegistry, ParseFaultsEnv) {
 // ------------------------------------------------------------ io sites ----
 
 TEST(FaultIo, InjectedTruncationIsCleanDataLoss) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   RegistryGuard g;
   std::stringstream ss;
   io::write_params(ss, TfheParams::test_small());
@@ -148,7 +137,6 @@ TEST(FaultIo, InjectedTruncationIsCleanDataLoss) {
 }
 
 TEST(FaultIo, InjectedGarbleIsCaughtByChecksum) {
-  SKIP_IF_FAULTS_COMPILED_OUT();
   RegistryGuard g;
   const TfheParams p = TfheParams::test_small();
   // Garble each raw read in turn: every single-bit corruption must surface

@@ -1,7 +1,7 @@
 // Key switch: message preservation and noise across the parameter space,
-// plus the PR-6 bandwidth-engineering contracts -- SoA arena shape (no
-// placeholder rows), batched-vs-sequential bit-identity, reference-loop
-// equivalence of the streaming accumulate, and dispatch-level agreement for
+// plus the bandwidth-engineering contracts -- SoA arena shape (no
+// placeholder rows) and bit-exact agreement of key_switch_batch with a
+// schoolbook reference at every batch size and on every dispatch level of
 // the integer keyswitch kernels (scalar / AVX2 / AVX-512).
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 namespace matcha {
 namespace {
 
+using test::key_switch_one;
 using test::shared_keys;
 
 TEST(KeySwitch, PreservesMessage) {
@@ -24,7 +25,7 @@ TEST(KeySwitch, PreservesMessage) {
     const Torus32 mu = double_to_torus32(m);
     const LweSample in =
         lwe_encrypt(K.sk.extracted, mu, K.params.ring.sigma, rng);
-    const LweSample out = key_switch(K.ck1.ks, in);
+    const LweSample out = key_switch_one(K.ck1.ks, in);
     EXPECT_EQ(out.n(), K.params.lwe.n);
     EXPECT_LE(torus_distance(lwe_phase(K.sk.lwe, out), mu), 5e-3) << m;
   }
@@ -37,7 +38,7 @@ TEST(KeySwitch, NoiseWithinAnalyticBound) {
   double sum2 = 0;
   for (int i = 0; i < trials; ++i) {
     const LweSample in = lwe_encrypt(K.sk.extracted, 0, 1e-9, rng);
-    const LweSample out = key_switch(K.ck1.ks, in);
+    const LweSample out = key_switch_one(K.ck1.ks, in);
     const double e = torus32_to_double(lwe_phase(K.sk.lwe, out));
     sum2 += e * e;
   }
@@ -57,7 +58,7 @@ TEST(KeySwitch, LinearOverAddition) {
   const Torus32 m1 = double_to_torus32(0.0625), m2 = double_to_torus32(0.125);
   const LweSample c1 = lwe_encrypt(K.sk.extracted, m1, K.params.ring.sigma, rng);
   const LweSample c2 = lwe_encrypt(K.sk.extracted, m2, K.params.ring.sigma, rng);
-  const LweSample sum_then_switch = key_switch(K.ck1.ks, c1 + c2);
+  const LweSample sum_then_switch = key_switch_one(K.ck1.ks, c1 + c2);
   EXPECT_LE(torus_distance(lwe_phase(K.sk.lwe, sum_then_switch), m1 + m2), 5e-3);
 }
 
@@ -100,7 +101,7 @@ TEST_P(KsParamSweep, MessagePreservedAcrossParameterSpace) {
     const Torus32 mu = double_to_torus32(m);
     const LweSample in =
         lwe_encrypt(K.sk.extracted, mu, K.params.ring.sigma, rng);
-    const LweSample out = key_switch(ks, in);
+    const LweSample out = key_switch_one(ks, in);
     const double err = torus_distance(lwe_phase(K.sk.lwe, out), mu);
     EXPECT_LE(err, 0.01 + trunc_noise * K.params.ring.n_ring) << m;
   }
@@ -141,8 +142,8 @@ uint32_t ref_digit(const KeySwitchKey& ks, const LweSample& c, int i, int j) {
 }
 
 /// Schoolbook key switch through the row_sample() accessor -- no arenas, no
-/// kernels. The streaming/batched paths must match this bit for bit (torus
-/// arithmetic is exact mod 2^32).
+/// kernels. key_switch_batch must match this bit for bit (torus arithmetic
+/// is exact mod 2^32).
 LweSample reference_key_switch(const KeySwitchKey& ks, const LweSample& c) {
   LweSample out(ks.n_out);
   for (auto& a : out.a) a = 0;
@@ -161,93 +162,45 @@ LweSample reference_key_switch(const KeySwitchKey& ks, const LweSample& c) {
   return out;
 }
 
-TEST(KeySwitch, StreamingAccumulateMatchesReferenceBitExactly) {
+// Batch sizes 1, 3, 8 and 17 on every level the host runs. Each level
+// reuses one workspace across the sizes, so it must grow and never serve a
+// previous batch's digits.
+TEST(KeySwitch, BatchMatchesReferenceBitExactlyAtEveryLevel) {
   const auto& K = shared_keys();
-  Rng rng = test::test_rng(20);
-  for (int trial = 0; trial < 4; ++trial) {
-    LweSample in(K.ck1.ks.n_in);
-    for (auto& a : in.a) a = rng.uniform_torus();
-    in.b = rng.uniform_torus();
-    const LweSample want = reference_key_switch(K.ck1.ks, in);
-    const LweSample got = key_switch(K.ck1.ks, in);
-    EXPECT_EQ(got.a, want.a) << "trial " << trial;
-    EXPECT_EQ(got.b, want.b) << "trial " << trial;
-  }
-}
-
-TEST(KeySwitch, BatchedMatchesSequentialBitExactly) {
-  const auto& K = shared_keys();
+  const KeySwitchKey& ks = K.ck1.ks;
   Rng rng = test::test_rng(21);
-  KeySwitchWorkspace ws; // reused across batch sizes: must grow, never stale
+  std::vector<std::vector<LweSample>> ins, wants;
   for (const int batch : {1, 3, 8, 17}) {
-    std::vector<LweSample> in(static_cast<size_t>(batch),
-                              LweSample(K.ck1.ks.n_in));
-    std::vector<LweSample> want, got(static_cast<size_t>(batch));
+    std::vector<LweSample> in(static_cast<size_t>(batch), LweSample(ks.n_in));
+    std::vector<LweSample> want;
     for (auto& c : in) {
       for (auto& a : c.a) a = rng.uniform_torus();
       c.b = rng.uniform_torus();
+      want.push_back(reference_key_switch(ks, c));
     }
-    for (const auto& c : in) want.push_back(key_switch(K.ck1.ks, c));
-
-    std::vector<const LweSample*> inp;
-    std::vector<LweSample*> outp;
-    for (int k = 0; k < batch; ++k) {
-      inp.push_back(&in[static_cast<size_t>(k)]);
-      outp.push_back(&got[static_cast<size_t>(k)]);
-    }
-    key_switch_batch(K.ck1.ks, inp.data(), outp.data(), batch, ws);
-    for (int k = 0; k < batch; ++k) {
-      EXPECT_EQ(got[static_cast<size_t>(k)].a, want[static_cast<size_t>(k)].a)
-          << "batch " << batch << " sample " << k;
-      EXPECT_EQ(got[static_cast<size_t>(k)].b, want[static_cast<size_t>(k)].b)
-          << "batch " << batch << " sample " << k;
-    }
+    ins.push_back(std::move(in));
+    wants.push_back(std::move(want));
   }
-}
-
-TEST(KeySwitch, DispatchLevelsBitIdentical) {
-  const auto& K = shared_keys();
-  Rng rng = test::test_rng(22);
-  const int batch = 5;
-  std::vector<LweSample> in(batch, LweSample(K.ck1.ks.n_in));
-  for (auto& c : in) {
-    for (auto& a : c.a) a = rng.uniform_torus();
-    c.b = rng.uniform_torus();
-  }
-  std::vector<const LweSample*> inp;
-  for (const auto& c : in) inp.push_back(&c);
-
-  // Scalar is the reference; every level the host can execute must agree,
-  // one sample at a time and batched.
-  std::vector<LweSample> want(batch, LweSample(0));
-  for (int k = 0; k < batch; ++k) {
-    key_switch_into(K.ck1.ks, in[static_cast<size_t>(k)],
-                    want[static_cast<size_t>(k)], SimdLevel::kScalar);
-  }
-  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    if (!simd_level_available(level)) {
-      GTEST_LOG_(INFO) << "skipping " << simd_level_name(level)
-                       << ": host cannot execute it";
-      continue;
-    }
-    LweSample one(0);
-    for (int k = 0; k < batch; ++k) {
-      key_switch_into(K.ck1.ks, in[static_cast<size_t>(k)], one, level);
-      EXPECT_EQ(one.a, want[static_cast<size_t>(k)].a)
-          << simd_level_name(level) << " sample " << k;
-      EXPECT_EQ(one.b, want[static_cast<size_t>(k)].b)
-          << simd_level_name(level) << " sample " << k;
-    }
-    std::vector<LweSample> got(batch, LweSample(0));
-    std::vector<LweSample*> outp;
-    for (auto& c : got) outp.push_back(&c);
+  for (const SimdLevel level : test::testable_levels()) {
     KeySwitchWorkspace ws;
-    key_switch_batch(K.ck1.ks, inp.data(), outp.data(), batch, ws, level);
-    for (int k = 0; k < batch; ++k) {
-      EXPECT_EQ(got[static_cast<size_t>(k)].a, want[static_cast<size_t>(k)].a)
-          << simd_level_name(level) << " batched sample " << k;
-      EXPECT_EQ(got[static_cast<size_t>(k)].b, want[static_cast<size_t>(k)].b)
-          << simd_level_name(level) << " batched sample " << k;
+    for (size_t s = 0; s < ins.size(); ++s) {
+      const int batch = static_cast<int>(ins[s].size());
+      std::vector<LweSample> got(ins[s].size());
+      std::vector<const LweSample*> inp;
+      std::vector<LweSample*> outp;
+      for (int k = 0; k < batch; ++k) {
+        inp.push_back(&ins[s][static_cast<size_t>(k)]);
+        outp.push_back(&got[static_cast<size_t>(k)]);
+      }
+      key_switch_batch(ks, inp.data(), outp.data(), batch, ws, level);
+      for (int k = 0; k < batch; ++k) {
+        const LweSample& g = got[static_cast<size_t>(k)];
+        const LweSample& w = wants[s][static_cast<size_t>(k)];
+        EXPECT_EQ(g.a, w.a)
+            << simd_level_name(level) << " batch " << batch << " sample " << k;
+        EXPECT_EQ(g.b, w.b)
+            << simd_level_name(level) << " batch " << batch << " sample " << k;
+      }
     }
   }
 }

@@ -44,18 +44,25 @@ TEST(TLwe, HomomorphicAdd) {
   EXPECT_LE(max_torus_distance(tlwe_phase(K.sk.tlwe, c1), mu1 + mu2), 1e-5);
 }
 
-TEST(TLwe, SampleExtractCoefficientZero) {
+// Offset 0 is the gate bootstrap's read; the others are a multi-output
+// LUT's, including both edges of the negacyclic wrap.
+TEST(TLwe, SampleExtractAtEachOffset) {
   const auto& K = shared_keys();
   Rng rng = test::test_rng(3);
   const int n = K.params.ring.n_ring;
   TorusPolynomial mu(n);
-  mu.coeffs[0] = torus_fraction(3, 8);
-  for (int i = 1; i < n; ++i) mu.coeffs[i] = rng.uniform_torus();
+  for (int i = 0; i < n; ++i) mu.coeffs[i] = rng.uniform_torus();
   const auto ks = key_spectral(K.deng, K.sk.tlwe);
   const TLweSample c =
       tlwe_encrypt(K.deng, K.sk.tlwe, ks, mu, K.params.ring.sigma, rng);
-  const LweSample ext = sample_extract(c);
-  EXPECT_LE(torus_distance(lwe_phase(K.sk.extracted, ext), mu.coeffs[0]), 1e-5);
+  LweSample ext;
+  for (const int j : {0, 1, n / 2, n - 1}) {
+    sample_extract_at(c, j, ext);
+    EXPECT_EQ(ext.n(), n);
+    EXPECT_LE(torus_distance(lwe_phase(K.sk.extracted, ext), mu.coeffs[j]),
+              1e-5)
+        << "offset " << j;
+  }
 }
 
 TEST(TLwe, ExtractedKeyMatchesRingKey) {

@@ -42,6 +42,16 @@ inline std::vector<SimdLevel> testable_levels() {
 /// fixed seeds keep failures reproducible).
 inline Rng test_rng(uint64_t seed = 42) { return Rng(seed); }
 
+/// KeySwitch(c) as a batch of one through key_switch_batch.
+inline LweSample key_switch_one(const KeySwitchKey& ks, const LweSample& c) {
+  KeySwitchWorkspace ws;
+  LweSample out;
+  const LweSample* in = &c;
+  LweSample* o = &out;
+  key_switch_batch(ks, &in, &o, 1, ws);
+  return out;
+}
+
 /// One full gate bootstrap (rotation, extraction, key switch) of `x`, as a
 /// batch of one through bootstrap_batch.
 template <class Engine>
@@ -66,7 +76,7 @@ LweSample classic_gate_bootstrap(const Engine& eng,
                                  BootstrapWorkspace<Engine>& ws) {
   LweSample u;
   classic_bootstrap_wo_keyswitch_into(eng, bk, mu, x, ws, u);
-  return key_switch(ks, u);
+  return key_switch_one(ks, u);
 }
 
 } // namespace matcha::test
